@@ -11,23 +11,31 @@ transient / DC simulation:
 * **leakage power** — static power per input vector;
 * **min setup / min hold / min pulse width** for sequential cells, by
   bisection on pass/fail capture transients.
+
+Every characterization plans its transients first and integrates them as
+lockstep batches (:func:`repro.spice.transient_batch`): a combinational
+cell's arcs in one batch, a sequential cell's fixed runs plus the first
+probes of all its bisections in one, then one batch per bisection round.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cells.cell import Cell, VDD_NET
-from ..spice import (Circuit, CompiledCircuit, DC, PWL, Pulse,
-                     dc_operating_point, integrate_supply_energy,
-                     propagation_delay, settles_to, transient,
-                     transition_time)
+# ``transient`` is not called here any more; it stays importable from this
+# module for callers (and tracers) that look it up by name.
+from ..spice import (Circuit, DC, PWL, Pulse, dc_operating_point,
+                     integrate_supply_energy, propagation_delay, settles_to,
+                     transient, transient_batch, transition_time)
 from .corners import Corner
 from .technology import TechnologyPair
 
-__all__ = ["CharConfig", "Measurement", "CellCharacterizer"]
+__all__ = ["CharConfig", "Measurement", "CellCharacterizer",
+           "bisect_lockstep"]
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,22 @@ class CellCharacterizer:
                               self.tech.pmos)
         return ckt
 
-    def _run(self, waveforms: dict, load: float, t_stop: float):
-        dt = t_stop / self.config.max_steps
-        ckt = self._build(waveforms, load)
-        return transient(ckt, t_stop=t_stop, dt=dt)
+    def _run_batch(self, runs: list) -> list:
+        """Transients for ``(waveforms, load, t_stop)`` runs, integrated
+        as one lockstep batch (every run uses this cell's testbench, so
+        they share a topology)."""
+        t_stops = [t_stop for _, _, t_stop in runs]
+        return transient_batch(
+            [self._build(wf, load) for wf, load, _ in runs], t_stops,
+            [t_stop / self.config.max_steps for t_stop in t_stops])
+
+    def _run_plan(self, plan: list) -> None:
+        """Run ``(run, measure)`` pairs as one batch, then hand each
+        result to its ``measure`` in plan order."""
+        if plan:
+            runs, measures = zip(*plan)
+            for measure, res in zip(measures, self._run_batch(runs)):
+                measure(res)
 
     def _leakage_current(self, vector: dict) -> float:
         wf = {p: DC(self.vdd if vector[p] else 0.0) for p in self.cell.inputs}
@@ -158,82 +178,94 @@ class CellCharacterizer:
         leak_i = self._leakage_current(
             {p: False for p in cell.inputs})
 
-        for pin, vec, out in flips:
-            out_rises_with_pin = not self.cell.evaluate(vec)[out]
-            for slew in cfg.slews:
-                for load in cfg.loads:
-                    t_edge = 3 * slew + 6 * tau
-                    td = 2 * slew + 2 * tau
-                    pw = t_edge + 4 * slew
-                    t_stop = td + pw + t_edge + 4 * slew
-                    wf = {p: DC(vdd if vec[p] else 0.0)
-                          for p in cell.inputs}
-                    wf[pin] = Pulse(0.0, vdd, td=td, tr=slew, tf=slew,
-                                    pw=pw)
-                    res = self._run(wf, load, t_stop)
-                    t = res.t
-                    v_in = res.v(f"n_{pin}")
-                    v_out = res.v(f"n_{out}")
-                    d1 = propagation_delay(t, v_in, v_out, vdd,
-                                           in_rising=True,
-                                           out_rising=out_rises_with_pin,
-                                           after=td * 0.5)
-                    d2 = propagation_delay(t, v_in, v_out, vdd,
-                                           in_rising=False,
-                                           out_rising=not out_rises_with_pin,
-                                           after=td + pw - slew)
-                    s1 = transition_time(t, v_out, vdd,
-                                         rising=out_rises_with_pin,
-                                         after=td * 0.5)
-                    s2 = transition_time(t, v_out, vdd,
-                                         rising=not out_rises_with_pin,
-                                         after=td + pw - slew)
-                    for d, s, rising in ((d1, s1, True), (d2, s2, False)):
-                        states = self._states(
-                            {**vec, pin: not rising}, toggling=pin)
-                        if np.isfinite(d) and d > 0:
-                            mk("delay", d, pin=pin, output=out, slew=slew,
-                               load=load, states=states)
-                        if np.isfinite(s) and s > 0:
-                            mk("output_slew", s, pin=pin, output=out,
-                               slew=slew, load=load, states=states)
-                    # Flip power: supply energy minus leakage, split over
-                    # the two transitions.
-                    e_tot = integrate_supply_energy(t, res.i("vdd"), vdd)
-                    e_dyn = max(e_tot - leak_i * vdd * t[-1], 0.0)
-                    mk("flip_power", e_dyn / 2.0, pin=pin, output=out,
-                       slew=slew, load=load,
-                       states=self._states(vec, toggling=pin))
+        def pulse(vec, pin, slew, td, pw, load, t_stop):
+            wf = {p: DC(vdd if vec[p] else 0.0) for p in cell.inputs}
+            wf[pin] = Pulse(0.0, vdd, td=td, tr=slew, tf=slew, pw=pw)
+            return wf, load, t_stop
 
-        # Input capacitance per pin (single condition).
-        for pin, vec, out in flips:
+        def arc(pin, vec, out, slew, load):
+            """Delay, output slew and flip power of one arc."""
+            out_rises_with_pin = not self.cell.evaluate(vec)[out]
+            t_edge = 3 * slew + 6 * tau
+            td = 2 * slew + 2 * tau
+            pw = t_edge + 4 * slew
+            t_stop = td + pw + t_edge + 4 * slew
+
+            def measure(res):
+                t = res.t
+                v_in = res.v(f"n_{pin}")
+                v_out = res.v(f"n_{out}")
+                d1 = propagation_delay(t, v_in, v_out, vdd, in_rising=True,
+                                       out_rising=out_rises_with_pin,
+                                       after=td * 0.5)
+                d2 = propagation_delay(t, v_in, v_out, vdd, in_rising=False,
+                                       out_rising=not out_rises_with_pin,
+                                       after=td + pw - slew)
+                s1 = transition_time(t, v_out, vdd,
+                                     rising=out_rises_with_pin,
+                                     after=td * 0.5)
+                s2 = transition_time(t, v_out, vdd,
+                                     rising=not out_rises_with_pin,
+                                     after=td + pw - slew)
+                for d, s, rising in ((d1, s1, True), (d2, s2, False)):
+                    states = self._states({**vec, pin: not rising},
+                                          toggling=pin)
+                    if np.isfinite(d) and d > 0:
+                        mk("delay", d, pin=pin, output=out, slew=slew,
+                           load=load, states=states)
+                    if np.isfinite(s) and s > 0:
+                        mk("output_slew", s, pin=pin, output=out,
+                           slew=slew, load=load, states=states)
+                # Flip power: supply energy minus leakage, split over the
+                # two transitions.
+                e_tot = integrate_supply_energy(t, res.i("vdd"), vdd)
+                e_dyn = max(e_tot - leak_i * vdd * t[-1], 0.0)
+                mk("flip_power", e_dyn / 2.0, pin=pin, output=out,
+                   slew=slew, load=load,
+                   states=self._states(vec, toggling=pin))
+
+            return pulse(vec, pin, slew, td, pw, load, t_stop), measure
+
+        def capacitance(pin, vec):
+            """Input capacitance of one pin (single condition)."""
             slew = cfg.cap_slew
             td = 2 * slew + 2 * tau
             pw = 4 * slew + 6 * tau
             t_stop = td + pw + 6 * slew
-            wf = {p: DC(vdd if vec[p] else 0.0) for p in cell.inputs}
-            wf[pin] = Pulse(0.0, vdd, td=td, tr=slew, tf=slew, pw=pw)
-            res = self._run(wf, min(cfg.loads), t_stop)
-            t = res.t
-            i_pin = res.i(f"v_{pin}")
-            mask = (t >= td - slew) & (t <= td + 3 * slew)
-            q = abs(np.trapezoid(i_pin[mask], t[mask]))
-            mk("capacitance", q / vdd, pin=pin,
-               states=self._states(vec, toggling=pin))
 
-        # Non-flip power per pin where a masking vector exists.
-        for pin, vec in nonflips:
+            def measure(res):
+                t = res.t
+                i_pin = res.i(f"v_{pin}")
+                mask = (t >= td - slew) & (t <= td + 3 * slew)
+                q = abs(np.trapezoid(i_pin[mask], t[mask]))
+                mk("capacitance", q / vdd, pin=pin,
+                   states=self._states(vec, toggling=pin))
+
+            return (pulse(vec, pin, slew, td, pw, min(cfg.loads), t_stop),
+                    measure)
+
+        def non_flip(pin, vec):
+            """Non-flip power of one pin under a masking vector."""
             slew = cfg.slews[0]
             td = 2 * slew + 2 * tau
             pw = 4 * slew + 4 * tau
             t_stop = td + pw + 6 * slew
-            wf = {p: DC(vdd if vec[p] else 0.0) for p in cell.inputs}
-            wf[pin] = Pulse(0.0, vdd, td=td, tr=slew, tf=slew, pw=pw)
-            res = self._run(wf, min(cfg.loads), t_stop)
-            e_tot = integrate_supply_energy(res.t, res.i("vdd"), vdd)
-            e_dyn = max(e_tot - leak_i * vdd * res.t[-1], 0.0)
-            mk("non_flip_power", e_dyn / 2.0, pin=pin, slew=slew,
-               load=min(cfg.loads), states=self._states(vec, toggling=pin))
+
+            def measure(res):
+                e_tot = integrate_supply_energy(res.t, res.i("vdd"), vdd)
+                e_dyn = max(e_tot - leak_i * vdd * res.t[-1], 0.0)
+                mk("non_flip_power", e_dyn / 2.0, pin=pin, slew=slew,
+                   load=min(cfg.loads),
+                   states=self._states(vec, toggling=pin))
+
+            return (pulse(vec, pin, slew, td, pw, min(cfg.loads), t_stop),
+                    measure)
+
+        self._run_plan(
+            [arc(pin, vec, out, slew, load) for pin, vec, out in flips
+             for slew in cfg.slews for load in cfg.loads]
+            + [capacitance(pin, vec) for pin, vec, _ in flips]
+            + [non_flip(pin, vec) for pin, vec in nonflips])
 
         # Leakage per input vector.
         for vec in cell.input_vectors():
@@ -252,13 +284,20 @@ class CellCharacterizer:
         return seq, others, q
 
     def _capture_run(self, d_times, d_values, clk_wf, t_stop):
-        seq, others, q = self._seq_nets()
+        """A capture testbench run: data and clock waveforms, every other
+        input (reset/set) held inactive."""
+        seq, others, _ = self._seq_nets()
         wf = {seq.data: PWL(tuple(d_times), tuple(d_values)),
               seq.clock: clk_wf}
         for p in others:
             wf[p] = DC(0.0)   # reset/set inactive
-        res = self._run(wf, self.config.seq_load, t_stop)
-        return res, q
+        return wf, self.config.seq_load, t_stop
+
+    def _settles(self, want: float):
+        """Pass check: q settles to ``want`` by the end of the run."""
+        q = self.cell.outputs[0]
+        return lambda res: settles_to(res.t, res.v(f"n_{q}"), want,
+                                      tol=0.2 * self.vdd)
 
     def _two_edge_clock(self, t_first: float, period: float, slew: float,
                         t_stop: float):
@@ -274,12 +313,13 @@ class CellCharacterizer:
                     t2 + half + slew, t_stop),
                    (0.0, 0.0, vdd, vdd, 0.0, 0.0, vdd, vdd, 0.0, 0.0))
 
-    def _capture_ok(self, setup: float, hold_window: float,
-                    capture_one: bool, t_clk: float, slew: float,
-                    t_stop: float) -> bool:
-        """Single capture trial: the FF is primed to the opposite state by
-        a first clock edge; data then toggles ``setup`` before the
-        measurement edge and toggles back ``hold_window`` after it."""
+    def _capture_trial(self, setup: float, hold_window: float,
+                       capture_one: bool, t_clk: float, slew: float,
+                       t_stop: float):
+        """Single capture trial, as ``(run, check)``: the FF is primed to
+        the opposite state by a first clock edge; data then toggles
+        ``setup`` before the measurement edge and toggles back
+        ``hold_window`` after it."""
         vdd = self.vdd
         start, target = (0.0, vdd) if capture_one else (vdd, 0.0)
         period = t_clk / 2.0
@@ -292,24 +332,35 @@ class CellCharacterizer:
                  max(t_back, t_d + slew + 1e-12) + slew, t_stop]
         values = [start, start, target, target, start, start]
         clk = self._two_edge_clock(t_prime, period, slew, t_stop)
-        res, q = self._capture_run(times, values, clk, t_stop)
-        want = vdd if capture_one else 0.0
-        return settles_to(res.t, res.v(f"n_{q}"), want, tol=0.2 * vdd)
+        return (self._capture_run(times, values, clk, t_stop),
+                self._settles(vdd if capture_one else 0.0))
 
-    def _bisect(self, lo, hi, ok_at_hi, predicate) -> float:
-        """Smallest x in [lo, hi] with predicate(x) true (monotone)."""
-        if not ok_at_hi:
-            return float("nan")
-        for _ in range(self.config.n_bisect):
-            mid = 0.5 * (lo + hi)
-            if predicate(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    def _pulse_trial(self, width: float, t_clk: float, slew: float,
+                     t_stop: float):
+        """Clock pulse-width trial, as ``(run, check)``: prime to 0 with a
+        long first pulse, then capture a 1 on a high phase of ``width``."""
+        vdd = self.vdd
+        period = t_clk / 2.0
+        t_prime = t_clk - period
+        t_d = t_prime + period * 0.4
+        times = (0.0, t_d, t_d + slew, t_stop)
+        values = (0.0, 0.0, vdd, vdd)
+        clk = PWL(
+            (0.0, t_prime, t_prime + slew, t_prime + period * 0.3,
+             t_prime + period * 0.3 + slew,
+             t_clk, t_clk + slew, t_clk + slew + width,
+             t_clk + 2 * slew + width, t_stop),
+            (0.0, 0.0, vdd, vdd, 0.0, 0.0, vdd, vdd, 0.0, 0.0))
+        return (self._capture_run(times, values, clk, t_stop),
+                self._settles(vdd))
 
     def characterize_sequential(self) -> list:
-        """Sequential metrics: clk->q delay/slew/power + setup/hold/MPW."""
+        """Sequential metrics: clk->q delay/slew/power + setup/hold/MPW.
+
+        Round 0 is one batch: both clk->q runs, both leakage runs, the
+        check at the top of every bisection range and every bisection's
+        first midpoint. The five bisections then advance in lockstep, one
+        batch per round."""
         cell, cfg, vdd = self.cell, self.config, self.vdd
         rows: list[Measurement] = []
         seq, others, q = self._seq_nets()
@@ -320,25 +371,78 @@ class CellCharacterizer:
         guard = 30 * tau + 12 * slew
         t_clk = guard
         t_stop = t_clk + guard
+        period = t_clk / 2.0
+        t_prime = t_clk - period
 
         def mk(metric, value, **kw):
             rows.append(Measurement(cell=cell.name, metric=metric,
                                     value=value, technology=self.tech.name,
                                     corner=self.corner, **kw))
 
-        # clk->q delay, slew, flip power for both captured values. A first
-        # clock edge primes the FF with the opposite value so q makes a
-        # real transition at the measurement edge.
+        # clk->q runs for both captured values: a first clock edge primes
+        # the FF with the opposite value so q makes a real transition at
+        # the measurement edge.
+        fixed = []
         for capture_one in (True, False):
             start = 0.0 if capture_one else vdd
             target = vdd if capture_one else 0.0
-            period = t_clk / 2.0
-            t_prime = t_clk - period
             t_d = t_prime + period * 0.4      # ample setup to second edge
-            times = (0.0, t_d, t_d + slew, t_stop)
-            values = (start, start, target, target)
-            clk = self._two_edge_clock(t_prime, period, slew, t_stop)
-            res, _ = self._capture_run(times, values, clk, t_stop)
+            fixed.append(self._capture_run(
+                (0.0, t_d, t_d + slew, t_stop),
+                (start, start, target, target),
+                self._two_edge_clock(t_prime, period, slew, t_stop), t_stop))
+        # Leakage runs per data value with a *settled* internal state:
+        # clock a full cycle (so the FF holds a definite value), then
+        # average the supply current over the quiet tail. A cold DC solve
+        # would sit at the latch's metastable point and report crowbar
+        # current instead.
+        for d_high in (False, True):
+            d_v = vdd if d_high else 0.0
+            clk = PWL((0.0, t_prime, t_prime + slew,
+                       t_prime + period * 0.5,
+                       t_prime + period * 0.5 + slew, t_stop),
+                      (0.0, 0.0, vdd, vdd, 0.0, 0.0))
+            fixed.append(self._capture_run((0.0, t_stop), (d_v, d_v), clk,
+                                           t_stop))
+
+        # Setup / hold (both data polarities) and the minimum clock pulse
+        # width (high phase). Ranges stay inside the half-period around
+        # the measurement edge. A probe is named by its trial's
+        # arguments, so probes that coincide (the setup and hold checks
+        # at the top of their ranges) run once.
+        hold_safe = period * 0.45
+        setup_max = period * 0.6
+        searches = []
+        for capture_one in (True, False):
+            searches.append(((0.0, setup_max),
+                             lambda x, c=capture_one: (x, hold_safe, c)))
+            searches.append(((0.0, hold_safe),
+                             lambda x, c=capture_one: (setup_max, x, c)))
+        searches.append(((slew * 0.5, guard * 0.9), lambda x: (x,)))
+
+        def trial(args):
+            if len(args) == 1:
+                return self._pulse_trial(args[0], t_clk, slew, t_stop)
+            return self._capture_trial(*args, t_clk, slew, t_stop)
+
+        fixed_results: list = []
+
+        def evaluate(probes):
+            keys = [searches[i][1](x) for i, x in probes]
+            unique = list(dict.fromkeys(keys))
+            trials = [trial(k) for k in unique]
+            # The fixed runs ride along with the first round.
+            extra = [] if fixed_results else fixed
+            results = self._run_batch(extra + [run for run, _ in trials])
+            fixed_results.extend(results[:len(extra)])
+            passed = {k: check(res) for k, (_, check), res
+                      in zip(unique, trials, results[len(extra):])}
+            return [passed[k] for k in keys]
+
+        found = bisect_lockstep([bounds for bounds, _ in searches],
+                                cfg.n_bisect, evaluate)
+
+        for capture_one, res in zip((True, False), fixed_results[:2]):
             t = res.t
             v_clk = res.v(f"n_{seq.clock}")
             v_q = res.v(f"n_{q}")
@@ -361,18 +465,8 @@ class CellCharacterizer:
             mk("flip_power", max(e, 0.0) / 2.0, pin=seq.clock, output=q,
                slew=slew, load=cfg.seq_load, states=states)
 
-        # Setup / hold (both data polarities). Ranges stay inside the
-        # half-period around the measurement edge.
-        period = t_clk / 2.0
-        hold_safe = period * 0.45
-        setup_max = period * 0.6
-        for capture_one in (True, False):
-            ok_hi = self._capture_ok(setup_max, hold_safe, capture_one,
-                                     t_clk, slew, t_stop)
-            ts = self._bisect(
-                0.0, setup_max, ok_hi,
-                lambda x: self._capture_ok(x, hold_safe, capture_one,
-                                           t_clk, slew, t_stop))
+        for capture_one, ts, th in ((True, found[0], found[1]),
+                                    (False, found[2], found[3])):
             states = {seq.data: (not capture_one, capture_one),
                       seq.clock: (False, True)}
             for p in others:
@@ -380,33 +474,11 @@ class CellCharacterizer:
             if np.isfinite(ts):
                 mk("min_setup", ts, pin=seq.data, slew=slew,
                    load=cfg.seq_load, states=states)
-            th = self._bisect(
-                0.0, hold_safe, ok_hi,
-                lambda x: self._capture_ok(setup_max, x, capture_one,
-                                           t_clk, slew, t_stop))
             if np.isfinite(th):
                 mk("min_hold", th, pin=seq.data, slew=slew,
                    load=cfg.seq_load, states=states)
 
-        # Minimum clock pulse width (high phase). Prime to 0 with a long
-        # first pulse, then test the narrow pulse capturing a 1.
-        def mpw_ok(width: float) -> bool:
-            period = t_clk / 2.0
-            t_prime = t_clk - period
-            t_d = t_prime + period * 0.4
-            times = (0.0, t_d, t_d + slew, t_stop)
-            values = (0.0, 0.0, vdd, vdd)
-            ckt_clk = PWL(
-                (0.0, t_prime, t_prime + slew, t_prime + period * 0.3,
-                 t_prime + period * 0.3 + slew,
-                 t_clk, t_clk + slew, t_clk + slew + width,
-                 t_clk + 2 * slew + width, t_stop),
-                (0.0, 0.0, vdd, vdd, 0.0, 0.0, vdd, vdd, 0.0, 0.0))
-            res, _ = self._capture_run(times, values, ckt_clk, t_stop)
-            return settles_to(res.t, res.v(f"n_{q}"), vdd, tol=0.2 * vdd)
-
-        ok_hi = mpw_ok(guard * 0.9)
-        w = self._bisect(slew * 0.5, guard * 0.9, ok_hi, mpw_ok)
+        w = found[4]
         if np.isfinite(w):
             states = {seq.data: (True, True), seq.clock: (False, True)}
             for p in others:
@@ -414,20 +486,7 @@ class CellCharacterizer:
             mk("min_pulse_width", w, pin=seq.clock, slew=slew,
                load=cfg.seq_load, states=states)
 
-        # Leakage per data value with a *settled* internal state: clock a
-        # full cycle (so the FF holds a definite value), then average the
-        # supply current over the quiet tail. A cold DC solve would sit at
-        # the latch's metastable point and report crowbar current instead.
-        for d_high in (False, True):
-            d_v = vdd if d_high else 0.0
-            period = t_clk / 2.0
-            clk = PWL((0.0, t_prime0 := t_clk - period,
-                       t_prime0 + slew, t_prime0 + period * 0.5,
-                       t_prime0 + period * 0.5 + slew, t_stop),
-                      (0.0, 0.0, vdd, vdd, 0.0, 0.0))
-            times = (0.0, t_stop)
-            values = (d_v, d_v)
-            res, _ = self._capture_run(times, values, clk, t_stop)
+        for d_high, res in zip((False, True), fixed_results[2:]):
             tail = res.t > 0.9 * t_stop
             i_leak = float(np.mean(np.abs(res.i("vdd")[tail])))
             vec = {p: False for p in cell.inputs}
@@ -441,3 +500,39 @@ class CellCharacterizer:
         if self.cell.is_sequential:
             return self.characterize_sequential()
         return self.characterize_combinational()
+
+
+def bisect_lockstep(bounds: list, n_bisect: int, evaluate) -> list:
+    """Smallest passing x in each ``(lo, hi)`` of ``bounds``, with every
+    search advanced in lockstep.
+
+    Each search is a sequential bisection for a monotone predicate: check
+    ``hi`` (a search that fails it yields nan), then halve the range
+    ``n_bisect`` times, keeping ``hi`` on the passing side. For any
+    predicate, monotone or not, a search probes exactly the points and
+    returns exactly the value it would alone. ``evaluate(probes)`` takes
+    one round's ``(search index, x)`` probes and returns the predicate at
+    each; the checks at ``hi`` ride in the first round with the first
+    midpoints, and a search that fails its check leaves after that round.
+    """
+    lo = [a for a, _ in bounds]
+    hi = [b for _, b in bounds]
+    live = list(range(len(bounds)))
+    ok_at_hi = [False] * len(bounds)
+    for r in range(max(n_bisect, 1)):
+        probes = ([(i, 0.5 * (lo[i] + hi[i])) for i in live]
+                  if r < n_bisect else [])
+        checks = [(i, hi[i]) for i in live] if r == 0 else []
+        if not probes and not checks:
+            break
+        passed = evaluate(probes + checks)
+        for (i, mid), ok in zip(probes, passed):
+            if ok:
+                hi[i] = mid
+            else:
+                lo[i] = mid
+        if r == 0:
+            for (i, _), ok in zip(checks, passed[len(probes):]):
+                ok_at_hi[i] = bool(ok)
+            live = [i for i in live if ok_at_hi[i]]
+    return [hi[i] if ok_at_hi[i] else math.nan for i in range(len(bounds))]

@@ -144,8 +144,13 @@ def scatter_sum(src: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     src = as_tensor(src)
     index = np.asarray(index, dtype=np.intp)
     out_shape = (num_segments,) + src.shape[1:]
-    out_data = np.zeros(out_shape, dtype=np.float64)
-    np.add.at(out_data, index, src.data)
+    # One bincount over (segment, feature) bins. Each bin adds its rows
+    # in row order from 0.0, as ``np.add.at`` does, so the sums are the
+    # same bits at a fraction of the cost.
+    width = int(np.prod(src.shape[1:], dtype=np.intp))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out_data = np.bincount(flat, weights=src.data.reshape(-1),
+                           minlength=num_segments * width).reshape(out_shape)
 
     def backward(grad):
         if src.requires_grad:

@@ -9,9 +9,9 @@ derivatives).
 from .waveforms import DC, Pulse, PWL
 from .netlist import (Circuit, Resistor, Capacitor, VoltageSource,
                       CurrentSource, TFT, GROUND)
-from .mna import CompiledCircuit, NewtonResult
+from .mna import CircuitBatch, CompiledCircuit, NewtonResult
 from .dc import OperatingPoint, dc_operating_point, dc_sweep
-from .transient import TransientResult, transient
+from .transient import TransientResult, transient, transient_batch
 from .measure import (crossing_times, first_crossing, propagation_delay,
                       transition_time, integrate_supply_energy,
                       average_power, settles_to)
@@ -20,9 +20,9 @@ __all__ = [
     "DC", "Pulse", "PWL",
     "Circuit", "Resistor", "Capacitor", "VoltageSource", "CurrentSource",
     "TFT", "GROUND",
-    "CompiledCircuit", "NewtonResult",
+    "CircuitBatch", "CompiledCircuit", "NewtonResult",
     "OperatingPoint", "dc_operating_point", "dc_sweep",
-    "TransientResult", "transient",
+    "TransientResult", "transient", "transient_batch",
     "crossing_times", "first_crossing", "propagation_delay",
     "transition_time", "integrate_supply_energy", "average_power",
     "settles_to",

@@ -11,6 +11,11 @@ Each Newton iteration is then::
 with ``J_tft`` accumulated via ``bincount`` on flattened indices — no
 per-element Python work in the hot loop.
 
+A :class:`CircuitBatch` stacks B compiled circuits of one topology and runs
+that iteration for all of them at once: ``(B, size)`` state, ``(B, n_tft)``
+device parameters, one batched ``np.linalg.solve``. A lone circuit's Newton
+solve is the batch of one.
+
 Unknown vector layout: ``x = [node voltages..., vsource branch currents...]``.
 """
 
@@ -23,7 +28,7 @@ import numpy as np
 from .netlist import (Capacitor, Circuit, CurrentSource, Resistor, TFT,
                       VoltageSource)
 
-__all__ = ["CompiledCircuit", "NewtonResult"]
+__all__ = ["CircuitBatch", "CompiledCircuit", "NewtonResult"]
 
 _H = 1e-30      # complex-step size
 _GMIN = 1e-12   # conductance from every node to ground
@@ -59,6 +64,28 @@ class _BatchedTFTs:
         self.cov = get("cov")
         self.vss_eff = self.ss / np.log(10.0) * (self.gamma + 2.0)
         self.k = (self.w / self.l) * self.mu0 * self.cox / (self.gamma + 2.0)
+
+    _ARRAYS = ("sign", "vth", "mu0", "gamma", "ss", "lambda_cl", "cox", "w",
+               "l", "i_leak", "alpha_sat", "m_sat", "cov", "vss_eff", "k")
+
+    @classmethod
+    def stack(cls, parts: list) -> "_BatchedTFTs":
+        """Several circuits' devices along a leading batch axis: every
+        parameter becomes ``(B, n)`` and the formulas broadcast as is."""
+        out = cls([])
+        out.n = parts[0].n
+        if out.n:
+            for name in cls._ARRAYS:
+                setattr(out, name,
+                        np.stack([getattr(p, name) for p in parts]))
+        return out
+
+    def member_key(self, j: int) -> bytes:
+        """Device parameters of batch member ``j``, as bytes."""
+        if not self.n:
+            return b""
+        return b"".join(getattr(self, name)[j].tobytes()
+                        for name in self._ARRAYS)
 
     def _softplus(self, x, scale):
         z = x / scale
@@ -135,15 +162,14 @@ class NewtonResult:
 
 
 class _StampSet:
-    """Accumulates (row, col, val) conductance triplets and constant
-    current injections, then bakes them into dense G and b arrays."""
+    """Accumulates (row, col, val) conductance triplets, then bakes them
+    into a dense G."""
 
     def __init__(self, size: int):
         self.size = size
         self.rows: list = []
         self.cols: list = []
         self.vals: list = []
-        self.b = np.zeros(size)
 
     def conductance(self, a: np.ndarray, b_idx: np.ndarray, g: np.ndarray):
         """Two-terminal conductance stamps (vectorised, ground-aware)."""
@@ -154,11 +180,6 @@ class _StampSet:
                 self.rows.append(rows[mask])
                 self.cols.append(cols[mask])
                 self.vals.append(np.broadcast_to(g, a.shape)[mask] * sign)
-
-    def current(self, nodes: np.ndarray, i: np.ndarray):
-        """Constant current injections (into f)."""
-        mask = nodes >= 0
-        np.add.at(self.b, nodes[mask], np.broadcast_to(i, nodes.shape)[mask])
 
     def entry(self, r: int, c: int, v: float):
         self.rows.append(np.array([r], dtype=np.intp))
@@ -222,10 +243,7 @@ class CompiledCircuit:
         self._t_s = np.array([idx(e.source) for e in tfts], dtype=np.intp)
 
         self._g_static = self._build_static()
-        self._tft_jac_index = self._build_tft_jac_index()
-        self._cap_stamp = self._pair_stamp_index(self._c_a, self._c_b)
-        self._tft_gs_stamp = self._pair_stamp_index(self._t_g, self._t_s)
-        self._tft_gd_stamp = self._pair_stamp_index(self._t_g, self._t_d)
+        self._solo = None      # CircuitBatch of this circuit alone
 
     # ------------------------------------------------------------------
     def _build_static(self) -> np.ndarray:
@@ -246,70 +264,6 @@ class CompiledCircuit:
         G[np.arange(self.n_nodes), np.arange(self.n_nodes)] += _GMIN
         return G
 
-    def _build_tft_jac_index(self):
-        """Flattened (row*size+col) indices for the 6 TFT Jacobian entries
-        per device that touch non-ground unknowns, plus masks."""
-        if self.batched.n == 0:
-            return None
-        entries = []
-        for rows, row_sign in ((self._t_d, 1.0), (self._t_s, -1.0)):
-            for cols, which in ((self._t_d, "gds"), (self._t_g, "gm"),
-                                (self._t_s, "gmgds")):
-                mask = (rows >= 0) & (cols >= 0)
-                flat = np.where(mask, rows * self.size + cols, 0)
-                entries.append((flat, mask, row_sign, which))
-        return entries
-
-    def _pair_stamp_index(self, a: np.ndarray, b: np.ndarray):
-        """Precompute flattened Jacobian indices and sign masks for
-        two-terminal conductance stamps between index arrays a and b."""
-        if len(a) == 0:
-            return None
-        flats, signs, masks = [], [], []
-        for rows, cols, sign in ((a, a, 1.0), (a, b, -1.0),
-                                 (b, b, 1.0), (b, a, -1.0)):
-            mask = (rows >= 0) & (cols >= 0)
-            flats.append(np.where(mask, rows * self.size + cols, 0))
-            signs.append(sign)
-            masks.append(mask)
-        a_mask, b_mask = a >= 0, b >= 0
-        return (flats, signs, masks, a, b, a_mask, b_mask)
-
-    def _apply_pair_stamp(self, stamp, g, ieq, G_flat, b):
-        """Accumulate conductance + companion-current stamps in place."""
-        flats, signs, masks, a, b_idx, a_mask, b_mask = stamp
-        for flat, sign, mask in zip(flats, signs, masks):
-            G_flat += np.bincount(flat, weights=np.where(mask, g * sign, 0.0),
-                                  minlength=self.size * self.size)
-        if ieq is not None:
-            np.add.at(b, a[a_mask], ieq[a_mask])
-            np.add.at(b, b_idx[b_mask], -ieq[b_mask])
-
-    def step_system(self, t: float, cap_geq=None, cap_ieq=None,
-                    tft_caps=None) -> tuple:
-        """Fast (G, b) assembly for one transient step (precomputed
-        indices, no Python-level element loops)."""
-        G_flat = np.zeros(self.size * self.size)
-        b = np.zeros(self.size)
-        if cap_geq is not None and self._cap_stamp is not None:
-            self._apply_pair_stamp(self._cap_stamp, cap_geq, cap_ieq,
-                                   G_flat, b)
-        if tft_caps is not None and self._tft_gs_stamp is not None:
-            geq_gs, ieq_gs, geq_gd, ieq_gd = tft_caps
-            self._apply_pair_stamp(self._tft_gs_stamp, geq_gs, ieq_gs,
-                                   G_flat, b)
-            self._apply_pair_stamp(self._tft_gd_stamp, geq_gd, ieq_gd,
-                                   G_flat, b)
-        for k, src in enumerate(self.isources):
-            i = src.value(t)
-            if self._i_p[k] >= 0:
-                b[self._i_p[k]] += i
-            if self._i_n[k] >= 0:
-                b[self._i_n[k]] -= i
-        for k, src in enumerate(self.vsources):
-            b[self.n_nodes + k] -= src.value(t)
-        return (G_flat.reshape(self.size, self.size) + self._g_static, b)
-
     # ------------------------------------------------------------------
     def node_index(self, name: str) -> int:
         """Index of a node in the unknown vector (-1 for ground)."""
@@ -328,97 +282,296 @@ class CompiledCircuit:
         i = self.node_index(name)
         return 0.0 if i < 0 else float(x[i])
 
-    def _v_of(self, x, idx_arr):
-        """Voltages at (possibly grounded) element terminals."""
-        v = np.zeros(len(idx_arr))
-        mask = idx_arr >= 0
-        v[mask] = x[idx_arr[mask]]
-        return v
-
     # ------------------------------------------------------------------
-    def linear_system(self, t: float, cap_geq=None, cap_ieq=None,
-                      tft_caps=None, source_scale: float = 1.0):
-        """(G, b) for the linear part at time ``t``.
-
-        ``cap_geq``/``cap_ieq`` are explicit-capacitor companion terms;
-        ``tft_caps = (geq_gs, ieq_gs, geq_gd, ieq_gd)`` carries the Meyer
-        capacitance companions. All None for DC.
-        """
-        st = _StampSet(self.size)
-        if cap_geq is not None and len(self._c_val):
-            st.conductance(self._c_a, self._c_b, cap_geq)
-            st.current(self._c_a, cap_ieq)
-            st.current(self._c_b, -cap_ieq)
-        if tft_caps is not None and self.batched.n:
-            geq_gs, ieq_gs, geq_gd, ieq_gd = tft_caps
-            st.conductance(self._t_g, self._t_s, geq_gs)
-            st.current(self._t_g, ieq_gs)
-            st.current(self._t_s, -ieq_gs)
-            st.conductance(self._t_g, self._t_d, geq_gd)
-            st.current(self._t_g, ieq_gd)
-            st.current(self._t_d, -ieq_gd)
+    def linear_system(self, t: float, source_scale: float = 1.0):
+        """DC (G, b) for the linear part, sources evaluated at time ``t``
+        and scaled by ``source_scale``."""
+        b = np.zeros(self.size)
         for k, src in enumerate(self.isources):
             i = src.value(t) * source_scale
             if self._i_p[k] >= 0:
-                st.b[self._i_p[k]] += i
+                b[self._i_p[k]] += i
             if self._i_n[k] >= 0:
-                st.b[self._i_n[k]] -= i
+                b[self._i_n[k]] -= i
         for k, src in enumerate(self.vsources):
-            st.b[self.n_nodes + k] -= src.value(t) * source_scale
-        G = st.bake() + self._g_static
-        return G, st.b
-
-    def tft_contributions(self, x: np.ndarray):
-        """(f_tft, J_tft) for the current state."""
-        f = np.zeros(self.size)
-        J = np.zeros(self.size * self.size)
-        if self.batched.n == 0:
-            return f, J.reshape(self.size, self.size)
-        vd = self._v_of(x, self._t_d)
-        vg = self._v_of(x, self._t_g)
-        vs = self._v_of(x, self._t_s)
-        i0, gm, gds = self.batched.ids_gm_gds(vg - vs, vd - vs)
-        for sign, nodes in ((1.0, self._t_d), (-1.0, self._t_s)):
-            mask = nodes >= 0
-            np.add.at(f, nodes[mask], sign * i0[mask])
-        vals = {"gds": gds, "gm": gm, "gmgds": -(gm + gds)}
-        for flat, mask, row_sign, which in self._tft_jac_index:
-            contrib = np.where(mask, vals[which] * row_sign, 0.0)
-            J += np.bincount(flat, weights=contrib,
-                             minlength=self.size * self.size)
-        return f, J.reshape(self.size, self.size)
+            b[self.n_nodes + k] -= src.value(t) * source_scale
+        return self._g_static.copy(), b
 
     # ------------------------------------------------------------------
     def newton(self, x0: np.ndarray, t: float = 0.0,
-               cap_geq=None, cap_ieq=None, tft_caps=None,
                source_scale: float = 1.0, max_iter: int = 60,
                vtol: float = 1e-9, itol: float = 1e-12,
-               clamp: float = 1.0,
-               linear: tuple | None = None) -> NewtonResult:
-        """Damped Newton iteration from ``x0``.
+               clamp: float = 1.0) -> NewtonResult:
+        """Damped DC Newton iteration from ``x0``: the batch of one."""
+        G, b = self.linear_system(t, source_scale)
+        if self._solo is None:
+            self._solo = CircuitBatch([self])
+        x, converged, iterations, res = self._solo.newton(
+            np.array(x0, dtype=np.float64)[None], G[None], b[None],
+            max_iter=max_iter, vtol=vtol, itol=itol, clamp=clamp)
+        return NewtonResult(x[0], bool(converged[0]), int(iterations[0]),
+                            float(res[0]))
 
-        ``linear`` optionally carries a precomputed ``(G, b)`` pair (the
-        transient loop builds it once per step).
-        """
-        if linear is None:
-            G, b = self.linear_system(t, cap_geq, cap_ieq, tft_caps,
-                                      source_scale)
+
+_TOPOLOGY = ("_r_a", "_r_b", "_c_a", "_c_b", "_i_p", "_i_n", "_v_p", "_v_n",
+             "_t_d", "_t_g", "_t_s")
+
+
+def _pair_stamps(a: np.ndarray, b: np.ndarray) -> list:
+    """(rows, cols) of a two-terminal conductance stamp, whose signs are
+    ``_PAIR_SIGN``."""
+    return [(a, a), (a, b), (b, b), (b, a)]
+
+
+_PAIR_SIGN = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+_TWO_SIGN = np.array([1.0, -1.0])[:, None, None]
+_PAIR_ROW_SIGN = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None, None]
+
+
+class _Scatter:
+    """Sums a whole batch's stamp entries with one ``bincount``.
+
+    ``groups`` lists stamp groups; a group is a list of ``(rows, cols)``
+    index arrays of one length (``cols`` None for vector entries), and
+    :meth:`__call__` takes one ``(S, B, m)`` weight array per group. With
+    ``separate`` every stamp sums into its own ``(B, width)`` block;
+    otherwise all entries fold into one block in the order given. Either
+    way a member's bins see its entries in the order a lone circuit adds
+    them, which keeps every floating-point sum the same, and an entry
+    with a grounded terminal adds 0.0 to bin 0, as it does alone.
+    """
+
+    def __init__(self, B: int, size: int, groups: list, separate: bool):
+        width = size * size if groups[0][0][1] is not None else size
+        index, self.masks = [], []
+        s = 0
+        for group in groups:
+            flats, masks = [], []
+            for rows, cols in group:
+                mask = rows >= 0
+                flat = rows
+                if cols is not None:
+                    mask &= cols >= 0
+                    flat = rows * size + cols
+                flats.append(np.where(mask, flat, 0))
+                masks.append(mask)
+            block = np.arange(B)[None, :, None]
+            if separate:
+                block = block + (s + np.arange(len(group)))[:, None,
+                                                            None] * B
+            index.append((block * width
+                          + np.stack(flats)[:, None, :]).ravel())
+            self.masks.append(np.stack(masks)[:, None, :])
+            s += len(group)
+        self.index = np.concatenate(index)
+        self.shape = (s, B, width) if separate else (B, width)
+        self.bins = int(np.prod(self.shape))
+
+    def __call__(self, weights: list) -> np.ndarray:
+        w = np.concatenate([np.where(m, wt, 0.0).ravel()
+                            for m, wt in zip(self.masks, weights)])
+        return np.bincount(self.index, weights=w,
+                           minlength=self.bins).reshape(self.shape)
+
+
+class _Gather:
+    """Terminal voltages ``X[:, index]`` per terminal row, where index -1
+    (ground) reads 0.0."""
+
+    def __init__(self, index: np.ndarray):
+        self.mask = index >= 0
+        self.index = np.where(self.mask, index, 0)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        v = np.where(self.mask, X[:, self.index], 0.0)
+        return v.transpose(1, 0, 2)
+
+
+class CircuitBatch:
+    """B compiled circuits of one topology, solved in lockstep.
+
+    Element values (resistors, capacitors, TFT parameters) stack along a
+    leading batch axis and the connectivity is shared. Every stamp sums
+    in the order a lone circuit sums it, so each member's matrices,
+    Newton iterates and convergence decisions are bit for bit the ones it
+    gets when solved alone, whatever else is in the batch.
+    """
+
+    def __init__(self, members: list):
+        members = list(members)
+        if not members:
+            raise ValueError("a circuit batch needs at least one circuit")
+        first = members[0]
+        for j, m in enumerate(members[1:], 1):
+            if m.node_names != first.node_names or not all(
+                    np.array_equal(getattr(m, k), getattr(first, k))
+                    for k in _TOPOLOGY):
+                raise ValueError(f"circuit {j} ({m.circuit.title!r}) does "
+                                 f"not share circuit 0's topology")
+        self.members = members
+        self.B = B = len(members)
+        self.size = n = first.size
+        self.n_nodes = first.n_nodes
+        self.n_caps = len(first._c_val)
+        self.n_tft = first.batched.n
+        self.g_static = np.stack([m._g_static for m in members])
+        self.c_val = np.stack([m._c_val for m in members])
+        self.tfts = _BatchedTFTs.stack([m.batched for m in members])
+        self._i_p, self._i_n = first._i_p, first._i_n
+
+        # Terminal gathers: index -1 (ground) reads 0.0.
+        self._c_ab = _Gather(np.stack([first._c_a, first._c_b]))
+        self._t_dgs = _Gather(np.stack([first._t_d, first._t_g, first._t_s]))
+
+        # Step matrix G: cap, TFT gate-source and gate-drain stamps;
+        # step vector b: their companion currents.
+        t_d, t_g, t_s = first._t_d, first._t_g, first._t_s
+        pairs = []
+        if self.n_caps:
+            pairs.append((first._c_a, first._c_b))
+        if self.n_tft:
+            pairs += [(t_g, t_s), (t_g, t_d)]
+        if pairs:
+            self._g_scatter = _Scatter(
+                B, n, [_pair_stamps(a, b) for a, b in pairs], True)
+            self._b_scatter = _Scatter(
+                B, n, [[(a, None), (b, None)] for a, b in pairs], False)
+        self._parts: dict = {}     # live member set -> TFT evaluation
+        self._tft_scatters: dict = {}   # member count -> (f, J) scatters
+
+    # ------------------------------------------------------------------
+    def member_key(self, j: int) -> bytes:
+        """Bytes that determine member ``j``'s DC solution besides its
+        sources: the static matrix and the device parameters."""
+        return self.g_static[j].tobytes() + self.tfts.member_key(j)
+
+    def cap_voltages(self, X: np.ndarray):
+        """(v_a, v_b) at each explicit capacitor's terminals."""
+        return self._c_ab(X)
+
+    def tft_voltages(self, X: np.ndarray):
+        """(v_d, v_g, v_s) at each TFT's terminals."""
+        return self._t_dgs(X)
+
+    # ------------------------------------------------------------------
+    def step_system(self, v_src: np.ndarray, i_src: np.ndarray,
+                    cap_geq=None, cap_ieq=None, tft_caps=None) -> tuple:
+        """Batched (G, b) for one transient step: capacitor and TFT
+        companions plus the ``(B, n_vsrc)`` / ``(B, n_isrc)`` source
+        values at the step's time."""
+        terms = []
+        if self.n_caps:
+            terms.append((cap_geq, cap_ieq))
+        if self.n_tft:
+            geq_gs, ieq_gs, geq_gd, ieq_gd = tft_caps
+            terms += [(geq_gs, ieq_gs), (geq_gd, ieq_gd)]
+        B, n = self.B, self.size
+        if terms:
+            # Stamps add one after another, as a lone circuit adds them.
+            G = (self._g_scatter([g[None] * _PAIR_SIGN for g, _ in terms])
+                 .sum(axis=0).reshape(B, n, n) + self.g_static)
+            b = self._b_scatter([ieq[None] * _TWO_SIGN for _, ieq in terms])
         else:
-            G, b = linear
-        x = np.array(x0, dtype=np.float64)
-        res = np.inf
+            G, b = self.g_static.copy(), np.zeros((B, n))
+        for k in range(len(self._i_p)):
+            if self._i_p[k] >= 0:
+                b[:, self._i_p[k]] += i_src[:, k]
+            if self._i_n[k] >= 0:
+                b[:, self._i_n[k]] -= i_src[:, k]
+        b[:, self.n_nodes:] -= v_src
+        return G, b
+
+    def _tft_part(self, idx: np.ndarray):
+        """Device parameters plus the f and J scatters (TFT currents into
+        f, drain + and source -; the six Jacobian entries, rows d/s x
+        cols d/g/s) for the members ``idx``."""
+        key = idx.tobytes()
+        part = self._parts.get(key)
+        if part is None:
+            k = len(idx)
+            if k not in self._tft_scatters:
+                first, n = self.members[0], self.size
+                t_d, t_g, t_s = first._t_d, first._t_g, first._t_s
+                self._tft_scatters[k] = (
+                    _Scatter(k, n, [[(t_d, None), (t_s, None)]], False),
+                    _Scatter(k, n, [[(r, c) for r in (t_d, t_s)
+                                     for c in (t_d, t_g, t_s)]], True))
+            tfts = (self.tfts if k == self.B else _BatchedTFTs.stack(
+                [self.members[i].batched for i in idx]))
+            part = self._parts[key] = (tfts, *self._tft_scatters[k])
+        return part
+
+    def tft_contributions(self, X: np.ndarray, idx: np.ndarray):
+        """Batched (f_tft, J_tft) of the members ``idx`` at their states
+        ``X`` (one row per member in ``idx``)."""
+        B, n = len(X), self.size
+        if not self.n_tft:
+            return np.zeros((B, n)), np.zeros((B, n, n))
+        tfts, f_scatter, j_scatter = self._tft_part(idx)
+        vd, vg, vs = self.tft_voltages(X)
+        i0, gm, gds = tfts.ids_gm_gds(vg - vs, vd - vs)
+        f = f_scatter([i0[None] * _TWO_SIGN])
+        gmgds = -(gm + gds)
+        vals = np.stack([gds, gm, gmgds, gds, gm, gmgds]) * _PAIR_ROW_SIGN
+        J = j_scatter([vals]).sum(axis=0).reshape(B, n, n)
+        return f, J
+
+    # ------------------------------------------------------------------
+    def newton(self, X0: np.ndarray, G: np.ndarray, b: np.ndarray,
+               active: np.ndarray | None = None, max_iter: int = 60,
+               vtol: float = 1e-9, itol: float = 1e-12,
+               clamp: float = 1.0) -> tuple:
+        """Damped Newton on ``G x + b + f_tft(x) = 0`` for every active
+        member, in lockstep.
+
+        A member leaves the loop at its own exit and its ``x`` is never
+        touched again. Returns ``(X, converged, iterations, residual)``,
+        each with a leading batch axis; inactive members report
+        ``converged=False`` and 0 iterations.
+        """
+        X = np.array(X0, dtype=np.float64)
+        live = (np.ones(self.B, dtype=bool) if active is None
+                else np.array(active, dtype=bool))
+        converged = np.zeros(self.B, dtype=bool)
+        iterations = np.where(live, max_iter, 0)
+        res = np.full(self.B, np.inf)
+        tol = max(itol, 1e-9)
         for it in range(1, max_iter + 1):
-            f_tft, J_tft = self.tft_contributions(x)
-            f = G @ x + b + f_tft
-            res = float(np.abs(f).max())
-            try:
-                delta = np.linalg.solve(G + J_tft, -f)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(G + J_tft, -f, rcond=None)[0]
-            step = np.clip(delta, -clamp, clamp)
-            x += step
-            if (np.abs(step).max() < vtol) and res < max(itol, 1e-9):
-                return NewtonResult(x, True, it, res)
-            if np.abs(step).max() < vtol * 1e-3:
+            idx = np.flatnonzero(live)
+            if not len(idx):
                 break
-        return NewtonResult(x, res < 1e-6, max_iter, res)
+            # Only live members are evaluated; each one's arithmetic is
+            # the same whichever others are live.
+            if len(idx) == self.B:
+                Xs, Gs, bs = X, G, b
+            else:
+                Xs, Gs, bs = X[idx], G[idx], b[idx]
+            f_tft, J_tft = self.tft_contributions(Xs, idx)
+            f = np.matmul(Gs, Xs[:, :, None])[:, :, 0] + bs + f_tft
+            r = np.abs(f).max(axis=1)
+            res[idx] = r
+            step = np.clip(_solve(Gs + J_tft, -f), -clamp, clamp)
+            X[idx] += step
+            smax = np.abs(step).max(axis=1)
+            done = (smax < vtol) & (r < tol)
+            stop = done | (smax < vtol * 1e-3)
+            converged[idx[done]] = True
+            iterations[idx[done]] = it
+            live[idx[stop]] = False
+        converged |= res < 1e-6
+        return X, converged, iterations, res
+
+
+def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched ``solve(A, rhs)``; a singular member falls back to least
+    squares on its own."""
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for j in range(len(A)):
+            try:
+                out[j] = np.linalg.solve(A[j], rhs[j])
+            except np.linalg.LinAlgError:
+                out[j] = np.linalg.lstsq(A[j], rhs[j], rcond=None)[0]
+        return out
