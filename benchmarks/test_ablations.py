@@ -8,6 +8,9 @@
   framework (same evaluation budget).
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,12 +66,14 @@ def test_ablation_relgat_architecture(benchmark):
 def test_ablation_agent_vs_random(benchmark):
     """RL agent reaches the grid-search optimum within budget at least as
     often as random search (tiny space, GNN-fast evaluations)."""
+    from repro.api import execute_search
     from repro.charlib import (CharConfig, CharTrainConfig, Corner,
                                GNNLibraryBuilder, build_char_dataset,
                                train_char_model)
     from repro.eda import build_benchmark
-    from repro.stco import (DesignSpace, GridSearchAgent, QLearningAgent,
-                            RandomSearchAgent, STCOEnvironment)
+    from repro.engine import EvaluationEngine, PPAWeights
+    from repro.search.optimizers import make_optimizer
+    from repro.stco import DesignSpace
 
     cfg = CharConfig(slews=(8e-9,), loads=(15e-15,), n_bisect=3,
                      max_steps=200)
@@ -86,14 +91,18 @@ def test_ablation_agent_vs_random(benchmark):
                             cox_scales=(0.9, 1.1))
         netlist = build_benchmark("s298")
 
-        def fresh_env():
-            builder = GNNLibraryBuilder(model, dataset, cells=cells,
-                                        config=cfg)
-            return STCOEnvironment(netlist, builder, space)
+        def search(name, budget):
+            # A fresh engine per strategy: no strategy sees another's
+            # evaluations.
+            engine = EvaluationEngine(GNNLibraryBuilder(
+                model, dataset, cells=cells, config=cfg))
+            optimizer = make_optimizer(name, space, seed=0)
+            return execute_search(netlist, optimizer, engine,
+                                  PPAWeights(), budget).result
 
-        optimum = GridSearchAgent(fresh_env()).run().best_reward
-        q = QLearningAgent(fresh_env(), seed=0).run(iterations=8)
-        r = RandomSearchAgent(fresh_env(), seed=0).run(iterations=8)
+        optimum = search("grid", space.size).best_reward
+        q = search("qlearning", 8)
+        r = search("random", 8)
         print(f"\noptimum {optimum:.3f} | Q-learning {q.best_reward:.3f} "
               f"({q.evaluations} evals) | random {r.best_reward:.3f} "
               f"({r.evaluations} evals)")
@@ -103,3 +112,12 @@ def test_ablation_agent_vs_random(benchmark):
     assert q.best_reward <= optimum + 1e-9
     # Within the same budget the agent must get close to the optimum.
     assert optimum - q.best_reward < 0.5
+    # Exactly the numbers the same ablation printed before the
+    # imperative agent wrappers were removed (fixed seeds).
+    golden = json.loads((Path(__file__).resolve().parents[1] / "tests"
+                         / "api" / "golden_ablation.json").read_text())
+    assert optimum == golden["optimum"]
+    for name, result in (("qlearning", q), ("random", r)):
+        assert result.best_reward == golden[name]["best_reward"]
+        assert result.evaluations == golden[name]["evaluations"]
+        assert list(result.rewards) == golden[name]["rewards"]

@@ -13,7 +13,8 @@ Networks" (DAC 2024) as a self-contained Python library:
 * :mod:`repro.cells` — 35-cell standard library
 * :mod:`repro.charlib` — GNN fast cell-library characterization
 * :mod:`repro.eda` — synthesis / place & route / STA / power evaluation flow
-* :mod:`repro.stco` — the RL-driven STCO framework tying it all together
+* :mod:`repro.stco` — the STCO design space (technology knobs) every
+  search explores
 * :mod:`repro.engine` — parallel evaluation engine with content caching
 * :mod:`repro.search` — multi-objective design-space exploration
 * :mod:`repro.api` — the declarative entry point: typed configs →

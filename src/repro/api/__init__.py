@@ -23,12 +23,14 @@ from .config import (SCHEMA_VERSION, MODES, ConfigError, TechnologyConfig,
                      SurrogateConfig, ScenarioConfig, StcoConfig)
 from .report import RunReport
 from .workspace import Workspace
-from .runner import SearchExecution, execute_search, run
+from .runner import (SearchExecution, execute_search,
+                     CampaignCheckpointError, run_campaign, run)
 
 __all__ = [
     "SCHEMA_VERSION", "MODES", "ConfigError",
     "TechnologyConfig", "ModelConfig", "EngineConfig", "AxisConfig",
     "SearchConfig", "SurrogateConfig", "ScenarioConfig", "StcoConfig",
     "RunReport", "Workspace",
-    "SearchExecution", "execute_search", "run",
+    "SearchExecution", "execute_search", "CampaignCheckpointError",
+    "run_campaign", "run",
 ]

@@ -868,7 +868,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    from ..engine.campaign import CampaignCheckpointError
+    from .runner import CampaignCheckpointError
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":

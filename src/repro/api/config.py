@@ -467,13 +467,15 @@ class PredictConfig(_Config):
 
 @dataclass(frozen=True)
 class ScenarioConfig(_Config):
-    """One campaign scenario (maps to :class:`repro.engine.campaign.Scenario`)."""
+    """One campaign scenario: a benchmark, a PPA trade-off, an agent
+    (any :func:`repro.search.optimizers.make_optimizer` name) and a
+    seed."""
 
     benchmark: str = "s298"
     agent: str = "qlearning"
     seed: int = 0
     iterations: int = 12
-    weights: tuple = (1.0, 1.0, 0.5)
+    weights: tuple = (1.0, 1.0, 0.5)    # (power, performance, area)
 
     def __post_init__(self):
         _require(self.iterations > 0,
@@ -481,11 +483,21 @@ class ScenarioConfig(_Config):
         _require(len(self.weights) == 3,
                  "scenario.weights must be (power, performance, area)")
 
-    def scenario(self):
-        from ..engine.campaign import Scenario
-        return Scenario(benchmark=self.benchmark, agent=self.agent,
-                        seed=self.seed, iterations=self.iterations,
-                        weights=tuple(float(w) for w in self.weights))
+    def identity(self) -> dict:
+        """The scenario as campaign checkpoints record it."""
+        return {"benchmark": self.benchmark, "agent": self.agent,
+                "seed": self.seed, "iterations": self.iterations,
+                "weights": [float(w) for w in self.weights]}
+
+    def scenario_id(self) -> str:
+        """Stable id keying this scenario's row in a checkpoint."""
+        from ..engine.hashing import stable_hash
+        return stable_hash(self.identity())
+
+    def ppa_weights(self):
+        from ..engine.records import PPAWeights
+        power, performance, area = (float(w) for w in self.weights)
+        return PPAWeights(power=power, performance=performance, area=area)
 
 
 @dataclass(frozen=True)
@@ -501,8 +513,8 @@ class StcoConfig(_Config):
       optimizer (builder chosen by ``model.kind``);
     * ``"portfolio"`` — a :class:`~repro.search.portfolio.PortfolioSearch`
       race over ``search.members``;
-    * ``"campaign"`` — a full checkpointed
-      :class:`~repro.engine.campaign.Campaign` over ``scenarios``.
+    * ``"campaign"`` — a checkpointed
+      :func:`~repro.api.runner.run_campaign` sweep over ``scenarios``.
     """
 
     _nested: ClassVar[dict] = {

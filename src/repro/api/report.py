@@ -1,8 +1,7 @@
 """RunReport: the one result shape every mode returns.
 
-``FastSTCO`` outcomes, ``SearchRun`` results and ``Campaign`` reports
-each carried their own fields; the api layer normalizes all of them into
-one JSON-round-trippable document with the scalar best, the Pareto
+Single searches and campaign sweeps alike report through one
+JSON-round-trippable document with the scalar best, the Pareto
 front, a runtime ledger and the cache statistics that prove (or
 disprove) warm-workspace reuse.
 """

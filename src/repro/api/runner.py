@@ -7,28 +7,28 @@ Every front door funnels through here:
 * ``mode="search"`` — a single instrumented search with any registry
   optimizer;
 * ``mode="portfolio"`` — a racing portfolio of optimizers;
-* ``mode="campaign"`` — a checkpointed multi-scenario sweep.
+* ``mode="campaign"`` — a checkpointed multi-scenario sweep
+  (:func:`run_campaign`).
 
 All modes return the same normalized :class:`~repro.api.report.RunReport`.
-The execution primitive, :func:`execute_search`, is also what the legacy
-entry points (:class:`repro.stco.framework.FastSTCO`,
-:class:`repro.engine.campaign.Campaign`) delegate to — one place owns
-the ask → engine → tell loop and its runtime accounting.
+The execution primitive, :func:`execute_search`, is the one place that
+owns the ask → engine → tell loop and its runtime accounting.
 """
 
 from __future__ import annotations
 
+import json
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..obs.trace import Span, span
-from .config import ConfigError, ModelConfig, StcoConfig
+from .config import SCHEMA_VERSION, ConfigError, ModelConfig, StcoConfig
 from .report import RunReport
 from .workspace import Workspace
 
-__all__ = ["SearchExecution", "execute_search", "run"]
+__all__ = ["SearchExecution", "execute_search", "CampaignCheckpointError",
+           "run_campaign", "run"]
 
 
 @dataclass
@@ -199,53 +199,211 @@ def _run_single(config: StcoConfig, workspace: Workspace,
         config=config.to_dict())
 
 
-def _run_campaign(config: StcoConfig, workspace: Workspace,
-                  resume: bool) -> RunReport:
-    from ..engine.campaign import Campaign
-    model = _effective_model(config)
-    engine = workspace.engine(config.technology, model, config.engine)
-    checkpoint = None
-    if config.checkpoint:
-        checkpoint = Path(config.checkpoint)
-        if not checkpoint.is_absolute():
-            # Relative checkpoints live with the workspace, so the same
-            # document resumes wherever the artifacts are.
-            checkpoint = workspace.root / checkpoint
-    # The workspace memoizes engines, so the lifetime counters may carry
-    # earlier runs' work; report this run's deltas.
+class CampaignCheckpointError(RuntimeError):
+    """A campaign checkpoint exists but cannot be safely resumed."""
+
+
+_CHECKPOINT_VERSION = 1
+
+
+def _campaign_fingerprint(engine, space) -> str:
+    """Identity of a campaign: builder + design space.
+
+    Deliberately excludes the scenario list, so extending a campaign
+    with new scenarios still resumes the already-completed ones
+    (results are keyed per scenario id inside the checkpoint).
+    """
+    if hasattr(space, "vdd_scales"):
+        # DesignSpace: keep the historical layout so existing
+        # checkpoints stay valid.
+        desc = {"vdd": list(space.vdd_scales),
+                "vth": list(space.vth_shifts),
+                "cox": list(space.cox_scales)}
+    else:
+        desc = {"axes": [[a.name, list(a.values), a.lo, a.hi, a.step]
+                         for a in space.axes]}
+    from ..engine.hashing import stable_hash
+    return stable_hash({"builder": engine.builder_fingerprint(),
+                        "space": desc})
+
+
+def _load_checkpoint(path: Path | None, fingerprint: str) -> dict:
+    """Completed scenario rows by id; ``{}`` when there is nothing
+    usable to resume (no file, unreadable, other builder or space)."""
+    if path is None or not path.exists():
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
+    found = data.get("config_schema", SCHEMA_VERSION)
+    if found != SCHEMA_VERSION:
+        # A schema change can alter what the recorded scenario fields
+        # *mean*; resuming would mix results computed under different
+        # interpretations. Refuse loudly — a stale builder/space
+        # fingerprint (below) merely re-runs, because there the stored
+        # rows are simply unusable, not ambiguous.
+        raise CampaignCheckpointError(
+            f"checkpoint {path} was written under config schema "
+            f"{found}, but this library uses schema {SCHEMA_VERSION}; "
+            f"delete the checkpoint, or disable resuming "
+            f"(run(resume=False) / `repro run --no-resume`), to start "
+            f"fresh instead of mixing results across schemas")
+    if (data.get("version") != _CHECKPOINT_VERSION
+            or data.get("campaign") != fingerprint):
+        return {}
+    return dict(data.get("completed", {}))
+
+
+def _run_scenario(scenario, engine, space) -> dict:
+    """One scenario through :func:`execute_search`, as a checkpoint row."""
+    from ..eda.benchmarks import build_benchmark
+    from ..search.optimizers import make_optimizer
+    weights = scenario.ppa_weights()
+    optimizer = make_optimizer(scenario.agent, space, seed=scenario.seed,
+                               weights=weights, builder=engine.builder)
+    execution = execute_search(build_benchmark(scenario.benchmark),
+                               optimizer, engine, weights,
+                               scenario.iterations)
+    result = execution.result
+    return {"scenario": scenario.identity(),
+            "best_corner": list(result.best_corner),
+            "best_reward": result.best_reward,
+            "best_ppa": dict(result.best_record.result.ppa()),
+            "evaluations": result.evaluations,
+            "runtime_s": execution.runtime_s,
+            "charlib_s": execution.charlib_s,
+            "flow_s": execution.flow_s,
+            "history_rewards": list(result.rewards),
+            "pareto_front": list(result.pareto_front),
+            "hypervolume": result.hypervolume,
+            "evaluations_to_optimum": result.evaluations_to_optimum}
+
+
+def _merged_fronts(rows) -> dict:
+    """Per-benchmark non-dominated fronts merged across scenarios.
+
+    Every scenario contributes its archive (different agents and PPA
+    weightings explore different regions), so the merged front is the
+    campaign's actual multi-objective outcome — the trade-off surface,
+    not just each scalarisation's winner.
+    """
+    from ..search.pareto import non_dominated
+    by_benchmark: dict = {}
+    for row in rows:
+        unique = by_benchmark.setdefault(row["scenario"]["benchmark"], {})
+        for entry in row["pareto_front"]:
+            unique.setdefault(tuple(entry["corner"]), entry)
+    out = {}
+    for benchmark, unique in by_benchmark.items():
+        entries = list(unique.values())
+        vectors = [(e["power_w"], e["delay_s"], e["area_um2"])
+                   for e in entries]
+        out[benchmark] = [entries[i] for i in non_dominated(vectors)]
+    return out
+
+
+def run_campaign(engine, scenarios, space, checkpoint=None,
+                 resume: bool = True, prefetch: bool = False) -> RunReport:
+    """Sweep ``scenarios`` through one shared ``engine``.
+
+    Every scenario amortizes the others' characterizations: two agents
+    exploring the same ``space`` hit the same corners, and an engine
+    with a persistent cache makes a second campaign re-characterize
+    nothing.
+
+    Parameters
+    ----------
+    engine:
+        The :class:`~repro.engine.engine.EvaluationEngine` every
+        scenario evaluates through.
+    scenarios:
+        :class:`~repro.api.config.ScenarioConfig` entries; ``agent``
+        names any :func:`repro.search.optimizers.make_optimizer`
+        strategy.
+    space:
+        Design space every scenario explores.
+    checkpoint:
+        JSON file rewritten (atomically) after every scenario. A
+        matching file — same builder and space — makes the campaign
+        skip the scenarios it already completed; one written under a
+        different config schema raises :class:`CampaignCheckpointError`.
+    resume:
+        ``False`` ignores any existing checkpoint.
+    prefetch:
+        Characterize the whole space up front through the engine's
+        backend/batcher before any agent runs. Agents request corners
+        one at a time, so this is what lets a parallel or batched
+        engine amortize characterization across a campaign.
+    """
+    from ..utils.io import atomic_write_json
+    path = Path(checkpoint) if checkpoint is not None else None
+    scenarios = list(scenarios)
+    fingerprint = _campaign_fingerprint(engine, space)
+    completed = _load_checkpoint(path, fingerprint) if resume else {}
+    # The engine may be shared with earlier runs, so its lifetime
+    # counters carry their work; report this campaign's deltas.
     misses0 = engine.flow_evaluations
     chars0 = engine.characterizations
-    with warnings.catch_warnings():
-        # The runner *is* the new API; constructing the legacy Campaign
-        # internally must not surface its deprecation warning.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        campaign = Campaign(
-            engine.builder, [s.scenario() for s in config.scenarios],
-            space=config.search.space(), engine=engine,
-            checkpoint_path=checkpoint,
-            prefetch=config.prefetch)
-    report = campaign.run(resume=resume)
-    best = report.best()
+    t0 = time.perf_counter()
+    if prefetch and {s.scenario_id() for s in scenarios} - set(completed):
+        engine.libraries(space.points())
+    rows = []
+    for scenario in scenarios:
+        sid = scenario.scenario_id()
+        if sid in completed:
+            # Rows written before the search subsystem lack the Pareto
+            # fields; default them rather than invalidate the file.
+            rows.append({"pareto_front": [], "hypervolume": 0.0,
+                         "evaluations_to_optimum": 0,
+                         **completed[sid], "resumed": True})
+            continue
+        row = _run_scenario(scenario, engine, space)
+        rows.append(dict(row, resumed=False))
+        completed[sid] = row
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_json(path, {"version": _CHECKPOINT_VERSION,
+                                     "config_schema": SCHEMA_VERSION,
+                                     "campaign": fingerprint,
+                                     "completed": completed},
+                              sort_keys=False)
+    best = max(rows, key=lambda r: r["best_reward"], default=None)
     return RunReport(
-        mode=config.mode,
-        optimizer=best.scenario.agent if best is not None else "",
-        best_corner=best.best_corner if best is not None else (),
-        best_reward=best.best_reward if best is not None else 0.0,
-        best_ppa=dict(best.best_ppa) if best is not None else {},
-        evaluations=sum(r.evaluations for r in report.results),
+        mode="campaign",
+        optimizer=best["scenario"]["agent"] if best else "",
+        best_corner=tuple(best["best_corner"]) if best else (),
+        best_reward=best["best_reward"] if best else 0.0,
+        best_ppa=dict(best["best_ppa"]) if best else {},
+        evaluations=sum(r["evaluations"] for r in rows),
         engine_misses=engine.flow_evaluations - misses0,
         characterizations=engine.characterizations - chars0,
-        pareto_fronts=report.pareto_fronts(),
-        hypervolume=max((r.hypervolume for r in report.results),
-                        default=0.0),
-        scenarios=[dict(r.to_dict(), resumed=r.resumed)
-                   for r in report.results],
-        resumed_scenarios=report.resumed_scenarios,
-        runtime={"total_s": report.total_runtime_s,
-                 "charlib_s": sum(r.charlib_s for r in report.results),
-                 "flow_s": sum(r.flow_s for r in report.results)},
-        cache_stats=_cache_stats(engine, workspace),
-        config=config.to_dict())
+        pareto_fronts=_merged_fronts(rows),
+        hypervolume=max((r["hypervolume"] for r in rows), default=0.0),
+        scenarios=rows,
+        resumed_scenarios=sum(r["resumed"] for r in rows),
+        runtime={"total_s": time.perf_counter() - t0,
+                 "charlib_s": sum(r["charlib_s"] for r in rows),
+                 "flow_s": sum(r["flow_s"] for r in rows)},
+        cache_stats={"engine": engine.stats()})
+
+
+def _run_campaign(config: StcoConfig, workspace: Workspace,
+                  resume: bool) -> RunReport:
+    engine = workspace.engine(config.technology, _effective_model(config),
+                              config.engine)
+    checkpoint = None
+    if config.checkpoint:
+        # Relative checkpoints live with the workspace, so the same
+        # document resumes wherever the artifacts are.
+        checkpoint = workspace.root / config.checkpoint
+    report = run_campaign(engine, config.scenarios, config.search.space(),
+                          checkpoint=checkpoint, resume=resume,
+                          prefetch=config.prefetch)
+    report.cache_stats = _cache_stats(engine, workspace)
+    report.config = config.to_dict()
+    return report
 
 
 def run(config, workspace: Workspace | None = None,

@@ -23,7 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..obs.metrics import get_registry
 from ..obs.trace import TRACEPARENT_HEADER, parse_traceparent
 from ..serve.client import ServeClientError
-from ..serve.http import _route_label
+from ..serve.http import _ApiError, _content_length, _route_label
 from ..serve.jobs import UnknownJobError
 from .router import Router, ShardUnavailable
 
@@ -50,13 +50,6 @@ ROUTES = (
     ("GET", "/v1/runs/{id}/profile"),
     ("POST", "/v1/runs/{id}/cancel"),
 )
-
-
-class _ApiError(Exception):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-        self.message = message
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -94,7 +87,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = _content_length(self)
         if length <= 0:
             raise _ApiError(400, "request body required")
         if length > _MAX_BODY_BYTES:
@@ -115,7 +108,7 @@ class _Handler(BaseHTTPRequestHandler):
             "Router API requests by method and route template",
             labels=("method", "route")).labels(
                 method=method,
-                route=_route_label(self.path)).inc()
+                route=_route_label(self.path, ROUTES)).inc()
         try:
             self._route(method)
         except _ApiError as exc:

@@ -10,9 +10,11 @@ The subsystem that turns corner evaluation into a first-class service:
 * :mod:`~repro.engine.batching` — packed GNN characterization across
   cells and corners;
 * :mod:`~repro.engine.engine` — the :class:`EvaluationEngine` funnel
-  (result cache → library cache → batcher → executor);
-* :mod:`~repro.engine.campaign` — (benchmark × weights × agent) sweeps
-  with JSON checkpoint/resume over one shared engine.
+  (result cache → library cache → batcher → executor).
+
+Campaign sweeps over one shared engine are
+:func:`repro.api.run_campaign` (``mode="campaign"`` of
+:func:`repro.api.run`).
 """
 
 from .records import PPAWeights, EvaluationRecord
@@ -23,8 +25,6 @@ from .executor import (SerialBackend, ThreadPoolBackend, ProcessPoolBackend,
                        get_backend, available_workers)
 from .batching import BatchedGNNCharacterizer
 from .engine import EngineConfig, EvaluationEngine
-from .campaign import (Scenario, ScenarioResult, CampaignReport, Campaign,
-                       CampaignCheckpointError, sweep_scenarios)
 
 __all__ = [
     "PPAWeights", "EvaluationRecord",
@@ -35,6 +35,4 @@ __all__ = [
     "get_backend", "available_workers",
     "BatchedGNNCharacterizer",
     "EngineConfig", "EvaluationEngine",
-    "Scenario", "ScenarioResult", "CampaignReport", "Campaign",
-    "CampaignCheckpointError", "sweep_scenarios",
 ]

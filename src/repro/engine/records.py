@@ -1,9 +1,8 @@
 """Evaluation-outcome types shared by the engine and the STCO layer.
 
-These used to live in :mod:`repro.stco.env`; they moved here so the
-evaluation engine (cache, executor, campaign orchestration) can produce
-and consume them without depending on the RL layer. :mod:`repro.stco`
-re-exports both names, so existing imports keep working.
+They live here so the evaluation engine (cache, executor, batching) can
+produce and consume them without depending on the search layer.
+:mod:`repro.stco` re-exports both names.
 """
 
 from __future__ import annotations

@@ -101,14 +101,22 @@ ROUTES = (
 )
 
 
-def _route_label(path: str) -> str:
-    """Collapse job ids to a template so the request counter's label
-    cardinality stays bounded."""
-    path = path.partition("?")[0]
-    parts = [p for p in path.split("/") if p]
-    if parts[:2] == ["v1", "runs"] and len(parts) >= 3:
-        parts[2] = "{id}"
-    return "/" + "/".join(parts) if parts else "/"
+#: The one label every path outside the route table counts under.
+UNMATCHED_ROUTE = "unmatched"
+
+
+def _route_label(path: str, routes=ROUTES) -> str:
+    """The route template ``path`` matches (``/v1/runs/{id}``,
+    ``/v1/cache/{digest}``, ...), or :data:`UNMATCHED_ROUTE`, so the
+    request counter's label cardinality is bounded by the table."""
+    parts = [p for p in path.partition("?")[0].split("/") if p]
+    for _, template in routes:
+        want = [p for p in template.split("/") if p]
+        if len(want) == len(parts) and all(
+                w == p or w.startswith("{")
+                for w, p in zip(want, parts)):
+            return template
+    return UNMATCHED_ROUTE
 
 
 class _ApiError(Exception):
@@ -116,6 +124,18 @@ class _ApiError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def _content_length(handler) -> int:
+    """The request's declared body size; a malformed header is the
+    client's error (400), not the server's."""
+    try:
+        return int(handler.headers.get("Content-Length") or 0)
+    except ValueError:
+        # The body's extent is unknown: drop the connection after the
+        # error, or its bytes would be parsed as the next request.
+        handler.close_connection = True
+        raise _ApiError(400, "invalid Content-Length header") from None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -144,7 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = _content_length(self)
         if length <= 0:
             raise _ApiError(400, "request body required")
         if length > _MAX_BODY_BYTES:

@@ -1,19 +1,13 @@
-"""The fast STCO framework: RL-driven technology exploration (paper core)."""
+"""The STCO design space: the technology knobs every search explores.
 
+Runs themselves go through :func:`repro.api.run` (``mode="fast"`` /
+``"traditional"`` are the paper's two Table I rows); the optimizers live
+in :mod:`repro.search.optimizers`. ``PPAWeights`` and
+``EvaluationRecord`` are re-exported from :mod:`repro.engine.records`.
+"""
+
+from ..engine.records import EvaluationRecord, PPAWeights
 from .space import DesignSpace, default_space
-from .env import PPAWeights, STCOEnvironment, EvaluationRecord
-from .agent import (QLearningAgent, RandomSearchAgent, GridSearchAgent,
-                    OptimizerAgent, Optimizer, QLearningOptimizer,
-                    RandomOptimizer, GridOptimizer)
-from .runtime import RuntimeLedger, IterationTiming
-from .framework import STCOOutcome, FastSTCO, TraditionalSTCO
 
-__all__ = [
-    "DesignSpace", "default_space",
-    "PPAWeights", "STCOEnvironment", "EvaluationRecord",
-    "QLearningAgent", "RandomSearchAgent", "GridSearchAgent",
-    "OptimizerAgent", "Optimizer", "QLearningOptimizer",
-    "RandomOptimizer", "GridOptimizer",
-    "RuntimeLedger", "IterationTiming",
-    "STCOOutcome", "FastSTCO", "TraditionalSTCO",
-]
+__all__ = ["DesignSpace", "default_space", "PPAWeights",
+           "EvaluationRecord"]

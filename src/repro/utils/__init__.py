@@ -2,10 +2,10 @@
 rendering, atomic JSON writes."""
 
 from .rng import make_rng, spawn, derive
-from .timing import Stopwatch, timed, TimingRecord
+from .timing import timed, TimingRecord
 from .tables import format_table, print_table
 from .io import atomic_write_json
 
-__all__ = ["make_rng", "spawn", "derive", "Stopwatch", "timed",
+__all__ = ["make_rng", "spawn", "derive", "timed",
            "TimingRecord", "format_table", "print_table",
            "atomic_write_json"]

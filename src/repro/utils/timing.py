@@ -1,4 +1,4 @@
-"""Wall-clock timing helpers used by the runtime ledgers.
+"""Wall-clock timing helpers used by the engine and the TCAD simulator.
 
 Since the :mod:`repro.obs` subsystem landed, these are thin compat
 wrappers over the one process-wide timing substrate: every
@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "timed", "TimingRecord"]
+__all__ = ["timed", "TimingRecord"]
 
 
 def _observe_stage(name: str, seconds: float) -> None:
@@ -61,29 +61,6 @@ class TimingRecord:
             self.totals[name] = self.totals.get(name, 0.0) + seconds
             self.counts[name] = (self.counts.get(name, 0)
                                  + other.counts.get(name, 0))
-
-
-class Stopwatch:
-    """Simple start/stop stopwatch with lap support."""
-
-    def __init__(self):
-        self._start = None
-        self.elapsed = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("stopwatch not started")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
 
 
 @contextmanager

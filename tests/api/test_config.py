@@ -129,10 +129,13 @@ class TestMapping:
     def test_scenario_mapping(self):
         s = ScenarioConfig(benchmark="s386", agent="anneal", seed=3,
                            iterations=7, weights=(2.0, 1.0, 0.5))
-        scenario = s.scenario()
-        assert scenario.benchmark == "s386"
-        assert scenario.agent == "anneal"
-        assert scenario.weights == (2.0, 1.0, 0.5)
+        assert s.identity() == {"benchmark": "s386", "agent": "anneal",
+                                "seed": 3, "iterations": 7,
+                                "weights": [2.0, 1.0, 0.5]}
+        # Integer weights name the same scenario as their float form.
+        same = ScenarioConfig(benchmark="s386", agent="anneal", seed=3,
+                              iterations=7, weights=(2, 1, 0.5))
+        assert same.scenario_id() == s.scenario_id()
 
     def test_builder_kind_follows_mode(self):
         assert StcoConfig(mode="fast").builder_kind() == "gnn"

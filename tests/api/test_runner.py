@@ -1,13 +1,35 @@
-"""Runner: dispatch, warm-workspace reuse, legacy equivalence."""
+"""Runner: dispatch, warm-workspace reuse, golden-value equivalence."""
 
+import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.api import (ConfigError, RunReport, ScenarioConfig,
-                       SearchConfig, StcoConfig, Workspace, run)
+from repro.api import (CampaignCheckpointError, ConfigError, RunReport,
+                       ScenarioConfig, SearchConfig, StcoConfig, Workspace,
+                       run)
 from tests.api.conftest import MODEL, SEARCH, TECH
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+#: Timing fields of a checkpoint row: wall-clock, never golden.
+TIMINGS = ("runtime_s", "charlib_s", "flow_s")
+
+
+def _golden(name: str):
+    return json.loads((GOLDEN_DIR / name).read_text())
+
+
+def _golden_campaign(base_config, checkpoint: str) -> StcoConfig:
+    """The two-scenario campaign the golden fixtures were captured from."""
+    return replace(
+        base_config, mode="campaign", checkpoint=checkpoint,
+        scenarios=(ScenarioConfig(benchmark="s298", agent="qlearning",
+                                  seed=0, iterations=5),
+                   ScenarioConfig(benchmark="s386", agent="random",
+                                  seed=1, iterations=5)))
 
 
 class TestSearchMode:
@@ -54,27 +76,17 @@ class TestSearchMode:
 
 
 class TestLegacyEquivalence:
-    def test_fast_mode_matches_faststco_bitwise(self, base_config,
-                                                workspace):
-        from repro.eda import build_benchmark
-        from repro.stco import DesignSpace, FastSTCO
-        config = replace(base_config, mode="fast")
-        report = run(config, workspace)
-        model = workspace.model(TECH, MODEL)
-        dataset = workspace.dataset(TECH)
-        space = DesignSpace(vdd_scales=SEARCH.vdd_scales,
-                            vth_shifts=SEARCH.vth_shifts,
-                            cox_scales=SEARCH.cox_scales)
-        with pytest.warns(DeprecationWarning, match="FastSTCO"):
-            stco = FastSTCO(build_benchmark("s298"), model, dataset,
-                            cells=TECH.cells,
-                            char_config=TECH.char_config(),
-                            space=space, agent_seed=SEARCH.seed)
-        outcome = stco.run(iterations=SEARCH.iterations)
-        assert tuple(report.best_corner) == tuple(outcome.best_corner)
-        assert report.best_reward == outcome.best_reward
-        assert report.rewards == [float(r)
-                                  for r in outcome.history_rewards]
+    def test_fast_mode_matches_parent_golden(self, base_config,
+                                             workspace):
+        """``mode="fast"`` reproduces, exactly, what the paper's fast
+        STCO loop returned for this config before the imperative
+        front door was removed (fixed seeds, golden captured then)."""
+        golden = _golden("golden_fast.json")
+        report = run(replace(base_config, mode="fast"), workspace)
+        assert list(report.best_corner) == golden["best_corner"]
+        assert report.best_reward == golden["best_reward"]
+        assert report.rewards == golden["rewards"]
+        assert report.evaluations == golden["evaluations"]
 
     def test_traditional_mode_uses_spice(self, workspace, base_config):
         config = replace(
@@ -135,6 +147,77 @@ class TestCampaignMode:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run(config, workspace)
+
+
+class TestCampaignGolden:
+    """The campaign loop reproduces the values, the checkpoint format
+    and the resume behaviour of the pre-refactor campaign exactly."""
+
+    def test_campaign_matches_golden(self, base_config, workspace):
+        golden = _golden("golden_campaign.json")
+        config = _golden_campaign(base_config, "golden_fresh_ckpt.json")
+        report = run(config, workspace, resume=False)
+        assert report.best_reward == golden["best_reward"]
+        assert list(report.best_corner) == golden["best_corner"]
+        assert len(report.scenarios) == len(golden["scenarios"])
+        for row, want in zip(report.scenarios, golden["scenarios"]):
+            for key in ("scenario", "best_corner", "best_reward",
+                        "history_rewards", "evaluations"):
+                assert row[key] == want[key], key
+
+        parent = _golden("golden_campaign_checkpoint.json")
+        written = json.loads(
+            (workspace.root / "golden_fresh_ckpt.json").read_text())
+        assert list(written) == list(parent)
+        for key in ("version", "config_schema", "campaign"):
+            assert written[key] == parent[key], key
+        assert list(written["completed"]) == list(parent["completed"])
+        for sid, row in written["completed"].items():
+            want = parent["completed"][sid]
+            assert list(row) == list(want)
+            for key in ("scenario", "best_corner", "best_reward",
+                        "history_rewards", "evaluations",
+                        "evaluations_to_optimum"):
+                assert row[key] == want[key], key
+
+    def test_parent_checkpoint_resumes(self, base_config, workspace):
+        ckpt = workspace.root / "golden_parent_ckpt.json"
+        source = GOLDEN_DIR / "golden_campaign_checkpoint.json"
+        ckpt.write_bytes(source.read_bytes())
+        report = run(_golden_campaign(base_config, ckpt.name), workspace)
+        assert report.resumed_scenarios == 2
+        assert report.characterizations == 0
+        assert report.engine_misses == 0
+        parent = json.loads(source.read_text())
+        assert report.scenarios == [dict(row, resumed=True)
+                                    for row in
+                                    parent["completed"].values()]
+        # Nothing re-ran, so the parent's file is left byte-for-byte.
+        assert ckpt.read_bytes() == source.read_bytes()
+
+    def _foreign_schema_checkpoint(self, workspace) -> Path:
+        data = _golden("golden_campaign_checkpoint.json")
+        data["config_schema"] += 1
+        ckpt = workspace.root / "golden_foreign_ckpt.json"
+        ckpt.write_text(json.dumps(data))
+        return ckpt
+
+    def test_foreign_schema_checkpoint_refused(self, base_config,
+                                               workspace):
+        ckpt = self._foreign_schema_checkpoint(workspace)
+        with pytest.raises(CampaignCheckpointError, match="config schema"):
+            run(_golden_campaign(base_config, ckpt.name), workspace)
+
+    def test_cli_maps_checkpoint_error_to_exit_2(self, base_config,
+                                                 workspace, tmp_path,
+                                                 capsys):
+        from repro.api.cli import main
+        ckpt = self._foreign_schema_checkpoint(workspace)
+        path = _golden_campaign(base_config, ckpt.name).save(
+            tmp_path / "cfg.json")
+        assert main(["run", str(path), "--workspace",
+                     str(workspace.root), "--quiet"]) == 2
+        assert "config schema" in capsys.readouterr().err
 
 
 class TestTraceBlock:

@@ -18,7 +18,7 @@ from repro.cluster.router_http import ROUTES as ROUTER_ROUTES
 from repro.serve import ServeClient
 from repro.serve.http import ROUTES as SHARD_ROUTES
 from repro.serve.jobs import UnknownJobError
-from tests.serve.conftest import make_config
+from tests.serve.conftest import make_config, post_with_content_length
 
 
 def config_for_shard(router, shard_name, seeds=range(64)):
@@ -353,6 +353,31 @@ class TestRouterHttp:
             assert resp.status == 201
         assert third.name in router.ring
         assert third.service.peers is not None
+
+
+class TestRouterHttpHardening:
+    def test_bad_content_length_is_400(self, http_cluster):
+        _, _, server = http_cluster
+        status, body = post_with_content_length(server.url, "abc")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_label_cardinality_is_bounded_by_the_route_table(
+            self, http_cluster):
+        from repro.obs import get_registry
+        _, _, server = http_cluster
+        family = get_registry().counter(
+            "repro_router_http_requests_total", labels=("method", "route"))
+        before = len(family.children())
+        paths = ([f"/v1/cache/{i:040x}" for i in range(50)]
+                 + [f"/wp-admin/x{i}" for i in range(50)])
+        for path in paths:
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(server.url + path, timeout=10)
+            assert exc.value.code == 404
+        assert len(family.children()) - before <= 2
+        routes = {labels["route"] for labels, _ in family.children()}
+        assert {"/v1/cache/{digest}", "unmatched"} <= routes
 
 
 class TestApiParity:

@@ -1,39 +1,43 @@
-"""Campaign orchestration: sweeps, checkpoint/resume, ledger report."""
+"""Campaign sweeps: shared-engine amortization, checkpoint/resume and the
+runtime split each scenario reports (:func:`repro.api.run_campaign`)."""
 
 import json
 
 import pytest
 
-from repro.engine import (Campaign, CampaignReport, EngineConfig,
-                          EvaluationEngine, Scenario, ScenarioResult,
-                          sweep_scenarios)
+from repro.api import CampaignCheckpointError, ScenarioConfig, run_campaign
+from repro.engine import EngineConfig, EvaluationEngine
 
 
 @pytest.fixture
 def scenarios():
-    return sweep_scenarios(["s298", "s386"], agents=("qlearning", "random"),
-                           iterations=4)
+    return [ScenarioConfig(benchmark=b, agent=a, iterations=4)
+            for b in ("s298", "s386") for a in ("qlearning", "random")]
+
+
+def campaign(builder, scenarios, space, engine=None, **kwargs):
+    """Run a campaign on ``engine`` (a fresh serial one by default)."""
+    if engine is None:
+        engine = EvaluationEngine(builder, EngineConfig())
+    return run_campaign(engine, scenarios, space, **kwargs)
+
+
+def characterizations(report) -> int:
+    return report.cache_stats["engine"]["characterizations"]
 
 
 class TestScenario:
-    def test_sweep_cartesian(self):
-        scenarios = sweep_scenarios(["s298", "s386"],
-                                    agents=("qlearning", "grid"),
-                                    seeds=(0, 1),
-                                    weights_list=((1, 1, 0.5), (2, 1, 0.5)))
-        assert len(scenarios) == 2 * 2 * 2 * 2
-        assert len({s.scenario_id() for s in scenarios}) == len(scenarios)
-
     def test_roundtrip(self):
-        scenario = Scenario("s298", agent="random", seed=3, iterations=9,
-                            weights=(2.0, 1.0, 0.25))
-        clone = Scenario.from_dict(
+        scenario = ScenarioConfig("s298", agent="random", seed=3,
+                                  iterations=9, weights=(2.0, 1.0, 0.25))
+        clone = ScenarioConfig.from_dict(
             json.loads(json.dumps(scenario.to_dict())))
         assert clone == scenario
         assert clone.scenario_id() == scenario.scenario_id()
 
     def test_weights_materialize(self):
-        weights = Scenario("s298", weights=(2.0, 3.0, 0.5)).ppa_weights()
+        weights = ScenarioConfig("s298",
+                                 weights=(2.0, 3.0, 0.5)).ppa_weights()
         assert (weights.power, weights.performance, weights.area) \
             == (2.0, 3.0, 0.5)
 
@@ -41,188 +45,183 @@ class TestScenario:
 class TestCampaignRun:
     def test_shared_engine_amortizes(self, builder, small_space,
                                      scenarios):
-        campaign = Campaign(builder, scenarios, space=small_space)
-        report = campaign.run()
-        assert len(report.results) == len(scenarios)
+        report = campaign(builder, scenarios, small_space)
+        assert len(report.scenarios) == len(scenarios)
         assert report.resumed_scenarios == 0
         # Two agents × two benchmarks explore the same 6-point space:
         # far fewer characterizations than total evaluations.
-        chars = report.engine_stats["characterizations"]
-        evals = sum(r.evaluations for r in report.results)
+        chars = characterizations(report)
         assert chars <= small_space.size
-        assert evals > chars
-        assert report.best().best_reward == max(
-            r.best_reward for r in report.results)
+        assert report.evaluations > chars
+        assert report.best_reward == max(
+            r["best_reward"] for r in report.scenarios)
 
     def test_ledger_report(self, builder, small_space, scenarios):
-        report = Campaign(builder, scenarios, space=small_space).run()
-        ledger = report.ledger()
+        report = campaign(builder, scenarios, small_space)
         for benchmark in ("s298", "s386"):
-            timing = ledger.measured[benchmark]
-            assert timing.system_eval_s > 0
-            assert timing.charlib_s >= 0
+            rows = [r for r in report.scenarios
+                    if r["scenario"]["benchmark"] == benchmark]
+            assert sum(r["flow_s"] for r in rows) > 0
+            assert all(r["charlib_s"] >= 0 for r in rows)
+        assert report.runtime["flow_s"] == sum(
+            r["flow_s"] for r in report.scenarios)
         assert report.summary_rows()
 
     def test_prefetch_characterizes_space_upfront(self, builder,
                                                   small_space,
                                                   scenarios):
-        plain = Campaign(builder, scenarios, space=small_space).run()
-        prefetched = Campaign(
-            builder, scenarios, space=small_space,
-            engine_config=EngineConfig(batch_characterization=True),
-            prefetch=True).run()
+        plain = campaign(builder, scenarios, small_space)
+        prefetched = campaign(
+            builder, scenarios, small_space,
+            engine=EvaluationEngine(
+                builder, EngineConfig(batch_characterization=True)),
+            prefetch=True)
         # Prefetch characterizes every space point (batched), then the
         # agents run entirely against the warm library cache.
-        assert (prefetched.engine_stats["characterizations"]
-                == small_space.size)
-        for a, b in zip(plain.results, prefetched.results):
-            assert a.best_corner == b.best_corner
+        assert characterizations(prefetched) == small_space.size
+        for a, b in zip(plain.scenarios, prefetched.scenarios):
+            assert a["best_corner"] == b["best_corner"]
 
     def test_warm_scenarios_report_zero_charlib_time(self, builder,
                                                      small_space,
                                                      scenarios):
         engine = EvaluationEngine(builder, EngineConfig())
-        Campaign(builder, scenarios[:1], space=small_space,
-                 engine=engine).run()
-        warm = Campaign(builder, scenarios[:1], space=small_space,
-                        engine=engine).run()
-        result = warm.results[0]
+        campaign(builder, scenarios[:1], small_space, engine=engine)
+        warm = campaign(builder, scenarios[:1], small_space,
+                        engine=engine)
+        row = warm.scenarios[0]
         # Every record came from the engine cache: no characterization
         # or flow time may be attributed to this scenario.
-        assert result.charlib_s == 0.0
-        assert result.flow_s == 0.0
+        assert row["charlib_s"] == 0.0
+        assert row["flow_s"] == 0.0
+        assert warm.characterizations == 0
 
     def test_unknown_agent_raises(self, builder, small_space):
-        campaign = Campaign(builder, [Scenario("s298", agent="sgd")],
-                            space=small_space)
         with pytest.raises(ValueError, match="unknown agent"):
-            campaign.run()
+            campaign(builder, [ScenarioConfig("s298", agent="sgd")],
+                     small_space)
 
 
 class TestMultiObjectiveCampaign:
     def test_search_agents_run(self, builder, small_space):
-        scenarios = [Scenario("s298", agent=a, iterations=6)
+        scenarios = [ScenarioConfig("s298", agent=a, iterations=6)
                      for a in ("anneal", "evolution", "surrogate")]
-        report = Campaign(builder, scenarios, space=small_space).run()
-        assert len(report.results) == 3
-        for r in report.results:
-            assert r.evaluations >= 1
-            assert r.pareto_front          # every scenario emits a front
-            assert r.evaluations_to_optimum >= 1
+        report = campaign(builder, scenarios, small_space)
+        assert len(report.scenarios) == 3
+        for r in report.scenarios:
+            assert r["evaluations"] >= 1
+            assert r["pareto_front"]       # every scenario emits a front
+            assert r["evaluations_to_optimum"] >= 1
 
     def test_nsga2_front_is_non_dominated(self, builder, small_space):
         from repro.search import non_dominated
-        report = Campaign(builder,
-                          [Scenario("s298", agent="nsga2",
-                                    iterations=8)],
-                          space=small_space).run()
-        front = report.results[0].pareto_front
+        report = campaign(builder,
+                          [ScenarioConfig("s298", agent="nsga2",
+                                          iterations=8)],
+                          small_space)
+        front = report.scenarios[0]["pareto_front"]
         assert front
         vectors = [(f["power_w"], f["delay_s"], f["area_um2"])
                    for f in front]
         assert len(non_dominated(vectors)) == len(vectors)
-        fronts = report.pareto_fronts()
-        assert "s298" in fronts and fronts["s298"]
+        assert report.pareto_fronts["s298"]
 
     def test_portfolio_agent_runs(self, builder, small_space):
-        report = Campaign(builder,
-                          [Scenario("s386", agent="portfolio",
-                                    iterations=8)],
-                          space=small_space).run()
-        result = report.results[0]
-        assert result.evaluations <= 8
-        assert result.hypervolume >= 0.0
+        report = campaign(builder,
+                          [ScenarioConfig("s386", agent="portfolio",
+                                          iterations=8)],
+                          small_space)
+        row = report.scenarios[0]
+        assert row["evaluations"] <= 8
+        assert row["hypervolume"] >= 0.0
 
     def test_checkpoint_preserves_pareto_fields(self, builder,
                                                 small_space, tmp_path):
         ckpt = tmp_path / "mo.json"
-        scenarios = [Scenario("s298", agent="nsga2", iterations=6)]
-        first = Campaign(builder, scenarios, space=small_space,
-                         checkpoint_path=ckpt).run()
-        resumed = Campaign(builder, scenarios, space=small_space,
-                           checkpoint_path=ckpt).run()
-        a, b = first.results[0], resumed.results[0]
-        assert b.resumed
-        assert a.pareto_front == b.pareto_front
-        assert a.hypervolume == pytest.approx(b.hypervolume)
-        assert a.evaluations_to_optimum == b.evaluations_to_optimum
+        scenarios = [ScenarioConfig("s298", agent="nsga2", iterations=6)]
+        first = campaign(builder, scenarios, small_space, checkpoint=ckpt)
+        resumed = campaign(builder, scenarios, small_space,
+                           checkpoint=ckpt)
+        a, b = first.scenarios[0], resumed.scenarios[0]
+        assert b["resumed"]
+        assert a["pareto_front"] == b["pareto_front"]
+        assert a["hypervolume"] == pytest.approx(b["hypervolume"])
+        assert a["evaluations_to_optimum"] == b["evaluations_to_optimum"]
 
-    def test_pre_search_checkpoint_rows_still_parse(self):
+    def test_pre_search_checkpoint_rows_still_parse(self, builder,
+                                                    small_space, tmp_path):
         """Rows written before the search subsystem lack the Pareto
-        fields; they must load with defaults, not invalidate."""
-        legacy = {"scenario": Scenario("s298").to_dict(),
-                  "best_corner": [1.0, 0.0, 1.0],
-                  "best_reward": 1.5,
-                  "best_ppa": {"power_w": 1e-5},
-                  "evaluations": 4, "runtime_s": 0.1,
-                  "charlib_s": 0.05, "flow_s": 0.05,
-                  "history_rewards": [1.0, 1.5]}
-        row = ScenarioResult.from_dict(legacy, resumed=True)
-        assert row.pareto_front == []
-        assert row.hypervolume == 0.0
-        assert row.evaluations_to_optimum == 0
+        fields; they must resume with defaults, not invalidate."""
+        ckpt = tmp_path / "campaign.json"
+        scenarios = [ScenarioConfig("s298", iterations=2)]
+        campaign(builder, scenarios, small_space, checkpoint=ckpt)
+        data = json.loads(ckpt.read_text())
+        for row in data["completed"].values():
+            for key in ("pareto_front", "hypervolume",
+                        "evaluations_to_optimum"):
+                del row[key]
+        ckpt.write_text(json.dumps(data))
+        row = campaign(builder, scenarios, small_space,
+                       checkpoint=ckpt).scenarios[0]
+        assert row["resumed"]
+        assert row["pareto_front"] == []
+        assert row["hypervolume"] == 0.0
+        assert row["evaluations_to_optimum"] == 0
 
 
 class TestCheckpointResume:
     def test_full_resume_roundtrip(self, builder, small_space, scenarios,
                                    tmp_path):
         ckpt = tmp_path / "campaign.json"
-        first = Campaign(builder, scenarios, space=small_space,
-                         checkpoint_path=ckpt)
-        report = first.run()
+        report = campaign(builder, scenarios, small_space, checkpoint=ckpt)
         assert ckpt.exists()
-        second = Campaign(builder, scenarios, space=small_space,
-                          checkpoint_path=ckpt)
-        resumed = second.run()
+        resumed = campaign(builder, scenarios, small_space,
+                           checkpoint=ckpt)
         assert resumed.resumed_scenarios == len(scenarios)
-        assert all(r.resumed for r in resumed.results)
-        for a, b in zip(report.results, resumed.results):
-            assert a.scenario == b.scenario
-            assert a.best_corner == b.best_corner
-            assert a.best_reward == b.best_reward
-            assert a.history_rewards == b.history_rewards
+        assert all(r["resumed"] for r in resumed.scenarios)
+        for a, b in zip(report.scenarios, resumed.scenarios):
+            assert a["scenario"] == b["scenario"]
+            assert a["best_corner"] == b["best_corner"]
+            assert a["best_reward"] == b["best_reward"]
+            assert a["history_rewards"] == b["history_rewards"]
 
     def test_partial_resume_extends(self, builder, small_space,
                                     scenarios, tmp_path):
         """A checkpoint from a shorter campaign resumes inside a longer
         one — only the new scenarios actually run."""
         ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:2], space=small_space,
-                 checkpoint_path=ckpt).run()
-        extended = Campaign(builder, scenarios, space=small_space,
-                            checkpoint_path=ckpt)
-        report = extended.run()
+        campaign(builder, scenarios[:2], small_space, checkpoint=ckpt)
+        report = campaign(builder, scenarios, small_space,
+                          checkpoint=ckpt)
         assert report.resumed_scenarios == 2
-        assert [r.resumed for r in report.results] == [
+        assert [r["resumed"] for r in report.scenarios] == [
             True, True, False, False]
 
     def test_space_change_invalidates(self, builder, small_space,
                                       scenarios, tmp_path):
         from repro.stco import DesignSpace
         ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:1], space=small_space,
-                 checkpoint_path=ckpt).run()
+        campaign(builder, scenarios[:1], small_space, checkpoint=ckpt)
         other_space = DesignSpace(vdd_scales=(0.8, 1.2),
                                   vth_shifts=(0.0,), cox_scales=(1.0,))
-        report = Campaign(builder, scenarios[:1], space=other_space,
-                          checkpoint_path=ckpt).run()
+        report = campaign(builder, scenarios[:1], other_space,
+                          checkpoint=ckpt)
         assert report.resumed_scenarios == 0
 
     def test_no_resume_flag(self, builder, small_space, scenarios,
                             tmp_path):
         ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:1], space=small_space,
-                 checkpoint_path=ckpt).run()
-        report = Campaign(builder, scenarios[:1], space=small_space,
-                          checkpoint_path=ckpt).run(resume=False)
+        campaign(builder, scenarios[:1], small_space, checkpoint=ckpt)
+        report = campaign(builder, scenarios[:1], small_space,
+                          checkpoint=ckpt, resume=False)
         assert report.resumed_scenarios == 0
 
     def test_corrupt_checkpoint_ignored(self, builder, small_space,
                                         scenarios, tmp_path):
         ckpt = tmp_path / "campaign.json"
         ckpt.write_text("{ not json")
-        report = Campaign(builder, scenarios[:1], space=small_space,
-                          checkpoint_path=ckpt).run()
+        report = campaign(builder, scenarios[:1], small_space,
+                          checkpoint=ckpt)
         assert report.resumed_scenarios == 0
         assert json.loads(ckpt.read_text())["completed"]
 
@@ -232,14 +231,13 @@ class TestCheckpointResume:
         """Second campaign, fresh engine, same cache dir: zero
         re-characterizations (the acceptance criterion)."""
         config = EngineConfig(cache_dir=tmp_path / "shared")
-        cold = Campaign(builder, scenarios, space=small_space,
-                        engine=EvaluationEngine(builder, config)).run()
-        assert cold.engine_stats["characterizations"] > 0
-        warm = Campaign(builder, scenarios, space=small_space,
-                        engine=EvaluationEngine(builder, config)).run()
-        assert warm.engine_stats["characterizations"] == 0
-        assert warm.best().best_corner == cold.best().best_corner
-        assert isinstance(warm, CampaignReport)
+        cold = campaign(builder, scenarios, small_space,
+                        engine=EvaluationEngine(builder, config))
+        assert characterizations(cold) > 0
+        warm = campaign(builder, scenarios, small_space,
+                        engine=EvaluationEngine(builder, config))
+        assert characterizations(warm) == 0
+        assert warm.best_corner == cold.best_corner
 
 
 class TestCheckpointSchemaGuard:
@@ -247,35 +245,30 @@ class TestCheckpointSchemaGuard:
                                               scenarios, tmp_path):
         from repro.api.config import SCHEMA_VERSION
         ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:1], space=small_space,
-                 checkpoint_path=ckpt).run()
+        campaign(builder, scenarios[:1], small_space, checkpoint=ckpt)
         assert json.loads(ckpt.read_text())["config_schema"] \
             == SCHEMA_VERSION
 
-    def test_foreign_schema_refused(self, builder, small_space,
-                                    scenarios, tmp_path):
-        from repro.engine import CampaignCheckpointError
-        ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:1], space=small_space,
-                 checkpoint_path=ckpt).run()
+    def _foreign_schema(self, builder, small_space, scenarios, ckpt):
+        campaign(builder, scenarios[:1], small_space, checkpoint=ckpt)
         data = json.loads(ckpt.read_text())
         data["config_schema"] = data["config_schema"] + 1
         ckpt.write_text(json.dumps(data))
+
+    def test_foreign_schema_refused(self, builder, small_space,
+                                    scenarios, tmp_path):
+        ckpt = tmp_path / "campaign.json"
+        self._foreign_schema(builder, small_space, scenarios, ckpt)
         with pytest.raises(CampaignCheckpointError,
                            match="config schema"):
-            Campaign(builder, scenarios[:1], space=small_space,
-                     checkpoint_path=ckpt).run()
+            campaign(builder, scenarios[:1], small_space, checkpoint=ckpt)
 
     def test_resume_false_bypasses_guard(self, builder, small_space,
                                          scenarios, tmp_path):
         ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:1], space=small_space,
-                 checkpoint_path=ckpt).run()
-        data = json.loads(ckpt.read_text())
-        data["config_schema"] = data["config_schema"] + 1
-        ckpt.write_text(json.dumps(data))
-        report = Campaign(builder, scenarios[:1], space=small_space,
-                          checkpoint_path=ckpt).run(resume=False)
+        self._foreign_schema(builder, small_space, scenarios, ckpt)
+        report = campaign(builder, scenarios[:1], small_space,
+                          checkpoint=ckpt, resume=False)
         assert report.resumed_scenarios == 0
 
     def test_pre_schema_checkpoint_still_resumes(self, builder,
@@ -284,11 +277,10 @@ class TestCheckpointSchemaGuard:
         """Checkpoints written before schema tracking lack the field and
         must keep resuming (they predate any schema change)."""
         ckpt = tmp_path / "campaign.json"
-        Campaign(builder, scenarios[:1], space=small_space,
-                 checkpoint_path=ckpt).run()
+        campaign(builder, scenarios[:1], small_space, checkpoint=ckpt)
         data = json.loads(ckpt.read_text())
         del data["config_schema"]
         ckpt.write_text(json.dumps(data))
-        report = Campaign(builder, scenarios[:1], space=small_space,
-                          checkpoint_path=ckpt).run()
+        report = campaign(builder, scenarios[:1], small_space,
+                          checkpoint=ckpt)
         assert report.resumed_scenarios == 1

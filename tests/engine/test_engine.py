@@ -177,97 +177,29 @@ class TestBuilderFingerprintFallback:
         assert a.builder_fingerprint() == a.builder_fingerprint()
 
 
-class TestEngineKwargConflicts:
-    def test_engine_plus_config_kwargs_rejected(self, trained,
-                                                small_space, netlist,
-                                                builder):
-        from repro.stco import FastSTCO
-        model, dataset = trained
-        engine = EvaluationEngine(builder, EngineConfig())
-        with pytest.raises(ValueError, match="not both"):
-            FastSTCO(netlist, model, dataset, space=small_space,
-                     engine=engine, backend="process:2")
-
-    def test_engine_with_foreign_model_rejected(self, trained,
-                                                small_space, netlist,
-                                                builder):
-        from repro.charlib import CellCharGCN
-        from repro.stco import FastSTCO
-        _, dataset = trained
-        other_model = CellCharGCN()
-        engine = EvaluationEngine(builder, EngineConfig())
-        with pytest.raises(ValueError, match="different model/dataset"):
-            FastSTCO(netlist, other_model, dataset, space=small_space,
-                     engine=engine)
-
-    def test_engine_plus_cells_rejected(self, trained, small_space,
-                                        netlist, builder):
-        from repro.stco import FastSTCO
-        model, dataset = trained
-        engine = EvaluationEngine(builder, EngineConfig())
-        with pytest.raises(ValueError, match="cells/char_config"):
-            FastSTCO(netlist, model, dataset, cells=("INV_X1",),
-                     space=small_space, engine=engine)
-
-    def test_matching_engine_accepted(self, trained, small_space,
-                                      netlist, builder):
-        from repro.stco import FastSTCO
-        model, dataset = trained
-        engine = EvaluationEngine(builder, EngineConfig())
-        stco = FastSTCO(netlist, model, dataset, space=small_space,
-                        engine=engine)
-        assert stco.engine is engine
-
-
-class TestEnvPrefetch:
-    def test_prefetch_matches_serial_evaluate(self, builder, netlist,
-                                              small_space):
-        from repro.stco import STCOEnvironment
-        serial_env = STCOEnvironment(netlist, builder, small_space)
-        serial = [serial_env.evaluate(a)
-                  for a in range(small_space.size)]
-        batch_env = STCOEnvironment(netlist, builder, small_space)
-        records = batch_env.prefetch(range(small_space.size))
-        assert [r.reward for r in records] == [r.reward for r in serial]
-        # Every action now resolves from the environment cache.
-        for action in range(small_space.size):
-            assert batch_env.evaluate(action) is records[action]
-        assert len(batch_env.history) == small_space.size
-
-    def test_prefetch_dedupes_actions(self, builder, netlist,
-                                      small_space):
-        from repro.stco import STCOEnvironment
-        env = STCOEnvironment(netlist, builder, small_space)
-        records = env.prefetch([0, 1, 0, 1])
-        assert len(records) == 4
-        assert records[0] is records[2]
-        assert len(env.history) == 2
-
-
 class TestFastSTCOEquivalence:
-    def test_engine_backends_agree_on_best_corner(self, trained,
+    def test_engine_backends_agree_on_best_corner(self, builder,
                                                   small_space):
-        """FastSTCO through the default serial engine and through a
-        batched engine must find the identical best corner and rewards."""
+        """The fast STCO loop through the default serial engine and
+        through a batched engine must find the identical best corner
+        and rewards."""
+        from repro.api import execute_search
         from repro.eda import build_benchmark
-        from repro.stco import FastSTCO
-        from tests.engine.conftest import CELLS, FAST_CFG
-        model, dataset = trained
+        from repro.search.optimizers import make_optimizer
         runs = {}
-        for label, kwargs in {
-            "serial": {},
-            "batched": {"batch_characterization": True},
+        for label, config in {
+            "serial": EngineConfig(),
+            "batched": EngineConfig(batch_characterization=True),
         }.items():
-            stco = FastSTCO(build_benchmark("s298"), model, dataset,
-                            cells=CELLS, char_config=FAST_CFG,
-                            space=small_space, agent_seed=7, **kwargs)
-            runs[label] = stco.run(iterations=6)
+            runs[label] = execute_search(
+                build_benchmark("s298"),
+                make_optimizer("qlearning", small_space, seed=7),
+                EvaluationEngine(builder, config), PPAWeights(), 6).result
         assert (runs["serial"].best_corner
                 == runs["batched"].best_corner)
-        np.testing.assert_allclose(runs["serial"].history_rewards,
-                                   runs["batched"].history_rewards,
-                                   rtol=1e-9)
-        assert runs["serial"].engine_stats["characterizations"] >= 1
+        np.testing.assert_allclose(runs["serial"].rewards,
+                                   runs["batched"].rewards, rtol=1e-9)
+        assert runs["serial"].characterizations >= 1
 
 
 class TestSnapshotDelta:

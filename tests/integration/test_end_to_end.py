@@ -6,9 +6,12 @@ import pytest
 from repro.charlib import (CharConfig, CharTrainConfig, Corner,
                            GNNLibraryBuilder, SpiceLibraryBuilder,
                            build_char_dataset, train_char_model)
+from repro.api import execute_search
 from repro.eda import build_benchmark, evaluate_system, table1_rows
+from repro.engine import EvaluationEngine, PPAWeights
 from repro.nn import TrainConfig
-from repro.stco import DesignSpace, FastSTCO
+from repro.search.optimizers import make_optimizer
+from repro.stco import DesignSpace
 from repro.surrogate import train_surrogates
 from repro.tcad import TCADDatasetBuilder
 
@@ -62,33 +65,35 @@ class TestTechnologyToSystem:
         assert 0.1 < ratio_p < 10.0
 
 
+def _fast_stco(char_assets, netlist, space, iterations):
+    """The paper's fast STCO loop: Q-learning over a GNN-built engine."""
+    dataset, model = char_assets
+    engine = EvaluationEngine(GNNLibraryBuilder(model, dataset,
+                                                cells=CELLS, config=CFG))
+    return execute_search(netlist, make_optimizer("qlearning", space),
+                          engine, PPAWeights(), iterations)
+
+
 class TestFullSTCOCampaign:
     def test_fast_stco_tracks_best_of_history(self, char_assets):
         """The campaign's best must equal the best corner it evaluated,
         and exploration must cover more than one corner."""
-        dataset, model = char_assets
-        nl = build_benchmark("s298")
         space = DesignSpace(vdd_scales=(0.85, 1.0, 1.15),
                             vth_shifts=(0.0,), cox_scales=(0.9, 1.1))
-        stco = FastSTCO(nl, model, dataset, cells=CELLS, char_config=CFG,
-                        space=space)
-        outcome = stco.run(iterations=6)
-        history_best = max(r.reward for r in stco.env.history)
-        assert outcome.best_reward == pytest.approx(history_best)
+        outcome = _fast_stco(char_assets, build_benchmark("s298"), space,
+                             6).result
+        history = [r.reward for r in outcome.records]
+        assert outcome.best_reward == pytest.approx(max(history))
         assert outcome.evaluations >= 2
-        assert outcome.best_reward >= min(r.reward
-                                          for r in stco.env.history)
+        assert outcome.best_reward >= min(history)
 
     def test_campaign_runtime_structure(self, char_assets):
-        dataset, model = char_assets
-        stco = FastSTCO(build_benchmark("s386"), model, dataset,
-                        cells=CELLS, char_config=CFG,
-                        space=DesignSpace(vdd_scales=(0.9, 1.1),
-                                          vth_shifts=(0.0,),
-                                          cox_scales=(1.0,)))
-        outcome = stco.run(iterations=4)
-        assert outcome.total_runtime_s < 30.0
-        assert outcome.evaluations <= 2     # space has 2 points
+        space = DesignSpace(vdd_scales=(0.9, 1.1), vth_shifts=(0.0,),
+                            cox_scales=(1.0,))
+        execution = _fast_stco(char_assets, build_benchmark("s386"),
+                               space, 4)
+        assert execution.runtime_s < 30.0
+        assert execution.result.evaluations <= 2     # space has 2 points
 
 
 class TestSurrogatePipeline:

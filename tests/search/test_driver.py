@@ -3,7 +3,7 @@
 Includes the subsystem's acceptance test: the default scalarised
 annealing/evolutionary optimizers must find the grid optimum of
 ``default_space()`` in fewer engine evaluations (cache misses) than
-``GridSearchAgent``'s exhaustive 45.
+the exhaustive grid's 45.
 """
 
 import numpy as np

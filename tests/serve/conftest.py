@@ -11,9 +11,12 @@ Two tiers:
   backing the end-to-end coalescing/HTTP tests.
 """
 
+import http.client
+import json
 import threading
 import time
 from dataclasses import replace as _dc_replace
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -21,6 +24,21 @@ from repro.api import StcoConfig, Workspace
 from repro.api.report import RunReport
 from repro.serve import ServeService
 from tests.api.conftest import MODEL, SEARCH, TECH
+
+
+def post_with_content_length(url: str, value: str):
+    """POST /v1/runs declaring ``Content-Length: value``; returns
+    (status, decoded JSON body)."""
+    conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/runs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", value)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 def make_config(**search_overrides) -> StcoConfig:

@@ -16,7 +16,9 @@ from repro.api import Workspace
 from repro.serve import (JobState, ServeClient, ServeClientError,
                          ServeService, StcoServer)
 
-from tests.serve.conftest import StubRunner, make_config
+from repro.obs import get_registry
+from tests.serve.conftest import (StubRunner, make_config,
+                                  post_with_content_length)
 
 CFG = make_config().to_dict()
 
@@ -156,12 +158,37 @@ class TestErrorMapping:
             client._request("POST", "/v1/runs")
         assert exc.value.status == 400
 
+    def test_bad_content_length_is_400(self, stub_stack):
+        server, _, _ = stub_stack
+        status, body = post_with_content_length(server.url, "abc")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
     def test_non_integer_priority_is_400(self, client):
         with pytest.raises(ServeClientError) as exc:
             client._request("POST", "/v1/runs",
                             {"config": CFG, "priority": "high"})
         assert exc.value.status == 400
         assert "priority" in exc.value.message
+
+
+class TestRouteLabels:
+    def test_label_cardinality_is_bounded_by_the_route_table(
+            self, stub_stack):
+        server, _, _ = stub_stack
+        family = get_registry().counter(
+            "repro_http_requests_total", labels=("method", "route"))
+        before = len(family.children())
+        paths = ([f"/v1/cache/{i:040x}" for i in range(50)]
+                 + [f"/wp-admin/x{i}" for i in range(50)])
+        for path in paths:
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(server.url + path, timeout=10)
+            assert exc.value.code == 404
+        assert len(family.children()) - before <= 2
+        routes = {labels["route"] for labels, _ in family.children()}
+        assert "/v1/cache/{digest}" in routes
+        assert "unmatched" in routes
 
 
 class TestSubmitCli:

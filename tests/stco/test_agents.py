@@ -1,9 +1,11 @@
-"""Agent-layer guarantees: seeded determinism, best-reward consistency,
-and the O(1) design-space index fast paths.
+"""Search-strategy guarantees over the STCO design space: seeded
+determinism, best-reward consistency, and the O(1) design-space index
+fast paths.
 
-These run against an analytic engine (no GNN training), so they pin the
-agents' exact trajectories cheaply — the contract the campaign layer's
-checkpoint/resume and the optimizer refactor both rely on.
+These run the registry optimizers through
+:class:`~repro.search.driver.SearchRun` against an analytic engine (no
+GNN training), so they pin the exact trajectories cheaply — the
+contract campaign checkpoint/resume relies on.
 """
 
 from types import SimpleNamespace
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.charlib import Corner
-from repro.stco import (DesignSpace, GridSearchAgent, QLearningAgent,
-                        RandomSearchAgent, STCOEnvironment, default_space)
+from repro.search import SearchRun
+from repro.search.optimizers import make_optimizer
+from repro.stco import DesignSpace, default_space
 
 from ..search.conftest import FakeEngine
 
@@ -21,63 +24,56 @@ SPACE = DesignSpace(vdd_scales=(0.8, 1.0, 1.2), vth_shifts=(-0.1, 0.1),
                     cox_scales=(0.9, 1.1))
 
 
-def make_env(space=SPACE):
-    return STCOEnvironment(SimpleNamespace(name="fake"), None, space,
-                           engine=FakeEngine())
+def explore(name, budget=None, seed=0, engine=None):
+    """One seeded search of ``SPACE`` (grid: the whole space)."""
+    engine = engine if engine is not None else FakeEngine()
+    return SearchRun(SimpleNamespace(name="fake"),
+                     make_optimizer(name, SPACE, seed=seed),
+                     engine).run(budget=budget or SPACE.size)
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("agent_cls", [QLearningAgent,
-                                           RandomSearchAgent])
-    def test_same_seed_same_trajectory(self, agent_cls):
-        runs = []
-        for _ in range(2):
-            env = make_env()
-            result = agent_cls(env, seed=11).run(iterations=10)
-            runs.append(result)
+    @pytest.mark.parametrize("name", ["qlearning", "random"])
+    def test_same_seed_same_trajectory(self, name):
+        runs = [explore(name, 10, seed=11) for _ in range(2)]
         assert runs[0].rewards == runs[1].rewards
-        assert runs[0].best_action == runs[1].best_action
+        assert runs[0].best_corner == runs[1].best_corner
         assert runs[0].best_reward == runs[1].best_reward
 
-    @pytest.mark.parametrize("agent_cls", [QLearningAgent,
-                                           RandomSearchAgent])
-    def test_different_seeds_diverge(self, agent_cls):
-        a = agent_cls(make_env(), seed=0).run(iterations=10)
-        b = agent_cls(make_env(), seed=1).run(iterations=10)
+    @pytest.mark.parametrize("name", ["qlearning", "random"])
+    def test_different_seeds_diverge(self, name):
+        a = explore(name, 10, seed=0)
+        b = explore(name, 10, seed=1)
         assert a.rewards != b.rewards
 
     def test_grid_agent_is_seedless_and_deterministic(self):
-        a = GridSearchAgent(make_env()).run()
-        b = GridSearchAgent(make_env()).run()
+        a = explore("grid", seed=0)
+        b = explore("grid", seed=1)
         assert a.rewards == b.rewards
         assert a.evaluations == SPACE.size
 
 
 class TestBestRewardConsistency:
-    @pytest.mark.parametrize("agent_cls", [QLearningAgent,
-                                           RandomSearchAgent,
-                                           GridSearchAgent])
-    def test_best_is_max_of_trajectory(self, agent_cls):
-        env = make_env()
-        result = agent_cls(env, **({} if agent_cls is GridSearchAgent
-                                   else {"seed": 3})).run(iterations=12)
+    @pytest.mark.parametrize("name", ["qlearning", "random", "grid"])
+    def test_best_is_max_of_trajectory(self, name):
+        result = explore(name, 12, seed=3)
         assert result.best_reward == max(result.rewards)
-        # The reported best action really is the argmax the env saw.
-        best = env.best()
+        # The reported best corner really is the argmax evaluated.
+        best = max(result.records, key=lambda r: r.reward)
         assert best.reward == result.best_reward
-        assert env.space.index_of(best.corner) == result.best_action
+        assert best.corner.key() == result.best_record.corner.key()
 
     def test_running_best_is_monotone(self):
-        env = make_env()
-        result = QLearningAgent(env, seed=5).run(iterations=12)
+        result = explore("qlearning", 12, seed=5)
         running = np.maximum.accumulate(result.rewards)
         assert running[-1] == result.best_reward
         assert all(x <= y for x, y in zip(running, running[1:]))
 
     def test_grid_finds_global_optimum(self):
-        env = make_env()
-        grid = GridSearchAgent(env).run()
-        rewards = [env.evaluate(i).reward for i in range(SPACE.size)]
+        engine = FakeEngine()
+        grid = explore("grid", engine=engine)
+        rewards = [engine.evaluate(None, c).reward
+                   for c in SPACE.points()]
         assert grid.best_reward == max(rewards)
 
 

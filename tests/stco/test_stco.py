@@ -1,14 +1,17 @@
-"""Tests for the STCO framework: space, env, agents, runtime ledger."""
+"""Tests for the STCO layer: the design space, the PPA scalarisation,
+and the fast STCO loop (GNN-characterized engine + search strategies)."""
 
 import numpy as np
 import pytest
 
+from repro.api import execute_search
 from repro.charlib import (CharConfig, CharTrainConfig, Corner,
-                           build_char_dataset, train_char_model)
+                           GNNLibraryBuilder, build_char_dataset,
+                           train_char_model)
 from repro.eda import build_benchmark
-from repro.stco import (DesignSpace, FastSTCO, GridSearchAgent, PPAWeights,
-                        QLearningAgent, RandomSearchAgent, RuntimeLedger,
-                        IterationTiming, STCOEnvironment, default_space)
+from repro.engine import EvaluationEngine
+from repro.search.optimizers import make_optimizer
+from repro.stco import DesignSpace, PPAWeights, default_space
 
 FAST_CFG = CharConfig(slews=(8e-9,), loads=(15e-15,), n_bisect=3,
                       max_steps=200)
@@ -35,11 +38,20 @@ def small_space():
 
 
 @pytest.fixture(scope="module")
-def env(trained, small_space):
-    from repro.charlib import GNNLibraryBuilder
+def netlist():
+    return build_benchmark("s298")
+
+
+@pytest.fixture(scope="module")
+def engine(trained):
     model, ds = trained
-    builder = GNNLibraryBuilder(model, ds, cells=CELLS, config=FAST_CFG)
-    return STCOEnvironment(build_benchmark("s298"), builder, small_space)
+    return EvaluationEngine(
+        GNNLibraryBuilder(model, ds, cells=CELLS, config=FAST_CFG))
+
+
+def explore(engine, netlist, space, name, iterations, seed=0):
+    return execute_search(netlist, make_optimizer(name, space, seed=seed),
+                          engine, PPAWeights(), iterations)
 
 
 class TestDesignSpace:
@@ -93,76 +105,67 @@ class TestPPAWeights:
 
 
 class TestEnvironment:
-    def test_evaluate_returns_record(self, env):
-        rec = env.evaluate(0)
+    """One STCO step: a corner in, a scored system evaluation out."""
+
+    def test_evaluate_returns_record(self, engine, netlist, small_space):
+        rec = engine.evaluate(netlist, small_space.point(0))
         assert rec.result.fmax_hz > 0
         assert np.isfinite(rec.reward)
 
-    def test_evaluation_cached(self, env):
-        r1 = env.evaluate(1)
-        n_before = len(env.history)
-        r2 = env.evaluate(1)
-        assert r1 is r2
-        assert len(env.history) == n_before
+    def test_evaluation_cached(self, engine, netlist, small_space):
+        r1 = engine.evaluate(netlist, small_space.point(1))
+        flows = engine.flow_evaluations
+        r2 = engine.evaluate(netlist, small_space.point(1))
+        assert r2.cached and r2.reward == r1.reward
+        assert engine.flow_evaluations == flows
 
-    def test_best_tracks_max(self, env):
-        env.evaluate(0)
-        env.evaluate(2)
-        best = env.best()
-        assert best.reward == max(r.reward for r in env.history)
+    def test_best_tracks_max(self, engine, netlist, small_space):
+        result = explore(engine, netlist, small_space, "random", 4).result
+        assert result.best_reward == max(r.reward for r in result.records)
 
 
 class TestAgents:
-    def test_qlearning_explores(self, env):
-        agent = QLearningAgent(env, seed=3)
-        result = agent.run(iterations=6)
+    def test_qlearning_explores(self, engine, netlist, small_space):
+        result = explore(engine, netlist, small_space, "qlearning", 6,
+                         seed=3).result
         assert np.isfinite(result.best_reward)
         assert result.evaluations >= 1
         assert len(result.rewards) == 6
 
-    def test_grid_search_finds_global_best(self, env, small_space):
-        grid = GridSearchAgent(env).run()
+    def test_grid_search_finds_global_best(self, engine, netlist,
+                                           small_space):
+        grid = explore(engine, netlist, small_space, "grid",
+                       small_space.size).result
         assert grid.evaluations == small_space.size
         # Q-learning can't beat exhaustive search.
-        q = QLearningAgent(env, seed=0).run(iterations=8)
+        q = explore(engine, netlist, small_space, "qlearning", 8).result
         assert q.best_reward <= grid.best_reward + 1e-9
 
-    def test_random_search(self, env):
-        result = RandomSearchAgent(env, seed=1).run(iterations=5)
+    def test_random_search(self, engine, netlist, small_space):
+        result = explore(engine, netlist, small_space, "random", 5,
+                         seed=1).result
         assert len(result.rewards) == 5
 
 
 class TestFastSTCO:
-    def test_campaign(self, trained, small_space):
+    def test_campaign(self, trained, netlist, small_space):
         model, ds = trained
-        stco = FastSTCO(build_benchmark("s298"), model, ds, cells=CELLS,
-                        char_config=FAST_CFG, space=small_space)
-        out = stco.run(iterations=5)
-        assert out.iterations == 5
+        engine = EvaluationEngine(
+            GNNLibraryBuilder(model, ds, cells=CELLS, config=FAST_CFG))
+        execution = explore(engine, netlist, small_space, "qlearning", 5)
+        out = execution.result
+        assert len(out.rewards) == 5
         assert out.best_reward > -np.inf
-        assert set(out.best_ppa) == {"power_w", "performance_hz",
-                                     "area_um2"}
-        assert out.mean_iteration_s < 5.0    # the GNN path must be fast
+        assert set(out.best_record.result.ppa()) == {
+            "power_w", "performance_hz", "area_um2"}
+        # The GNN path must be fast.
+        assert execution.runtime_s / 5 < 5.0
 
 
 class TestRuntimeLedger:
+    """The calibrated Table I ledger: the paper's published costs."""
+
     def test_calibrated_matches_paper(self):
-        ledger = RuntimeLedger()
-        row = ledger.calibrated_row("s386")
-        assert row["speedup"] == pytest.approx(14.1, abs=0.15)
-
-    def test_measured_speedup(self):
-        ledger = RuntimeLedger()
-        fast = IterationTiming(tcad_s=0.1, charlib_s=0.2, setup_s=0.05,
-                               system_eval_s=1.0)
-        slow = IterationTiming(tcad_s=10.0, charlib_s=50.0,
-                               system_eval_s=1.0)
-        ledger.record("s298", fast)
-        ledger.record("s298", slow, slow_path=True)
-        row = ledger.measured_row("s298")
-        assert row["speedup"] == pytest.approx(61.0 / 1.35, rel=1e-6)
-
-    def test_measured_row_requires_both_paths(self):
-        ledger = RuntimeLedger()
-        ledger.record("s298", IterationTiming(system_eval_s=1.0))
-        assert ledger.measured_row("s298") is None
+        from repro.eda.cost_model import table1_row
+        assert table1_row("s386")["speedup"] == pytest.approx(14.1,
+                                                              abs=0.15)
