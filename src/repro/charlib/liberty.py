@@ -8,11 +8,12 @@ capacitances, leakage and switching energy, plus sequential constraints.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimingTable", "LibCell", "Library"]
+__all__ = ["TimingTable", "LibCell", "Library", "interpolate"]
 
 
 @dataclass
@@ -32,27 +33,48 @@ class TimingTable:
 
     def lookup(self, slew: float, load: float) -> float:
         """Bilinear interpolation, clamped to the characterized window."""
-        s = float(np.clip(slew, self.slews[0], self.slews[-1]))
-        ld = float(np.clip(load, self.loads[0], self.loads[-1]))
-        i = int(np.clip(np.searchsorted(self.slews, s) - 1, 0,
-                        max(len(self.slews) - 2, 0)))
-        j = int(np.clip(np.searchsorted(self.loads, ld) - 1, 0,
-                        max(len(self.loads) - 2, 0)))
-        if len(self.slews) == 1 and len(self.loads) == 1:
-            return float(self.values[0, 0])
-        if len(self.slews) == 1:
-            return float(np.interp(ld, self.loads, self.values[0]))
-        if len(self.loads) == 1:
-            return float(np.interp(s, self.slews, self.values[:, 0]))
-        s0, s1 = self.slews[i], self.slews[i + 1]
-        l0, l1 = self.loads[j], self.loads[j + 1]
-        fs = (s - s0) / (s1 - s0)
-        fl = (ld - l0) / (l1 - l0)
-        v = self.values
-        return float(v[i, j] * (1 - fs) * (1 - fl)
-                     + v[i + 1, j] * fs * (1 - fl)
-                     + v[i, j + 1] * (1 - fs) * fl
-                     + v[i + 1, j + 1] * fs * fl)
+        return float(interpolate(self.slews.tolist(), self.loads.tolist(),
+                                 self.values.tolist(), slew, load))
+
+
+def interpolate(slews: list, loads: list, values: list,
+                slew: float, load: float) -> float:
+    """:meth:`TimingTable.lookup` on plain-float grids (lists).
+
+    Scalar float arithmetic in the operation order of the NumPy
+    formulation it replaces (``np.clip``/``np.searchsorted`` bilinear,
+    ``np.interp`` on one-row or one-column tables), so results are
+    bit-identical; callers that look up one table many times convert it
+    to lists once.
+    """
+    ns, nl = len(slews), len(loads)
+    if ns == 1 and nl == 1:
+        return values[0][0]
+    s = min(max(slew, slews[0]), slews[-1])
+    ld = min(max(load, loads[0]), loads[-1])
+    if ns == 1:
+        return _interp(ld, loads, values[0])
+    if nl == 1:
+        return _interp(s, slews, [row[0] for row in values])
+    i = min(max(bisect_left(slews, s) - 1, 0), ns - 2)
+    j = min(max(bisect_left(loads, ld) - 1, 0), nl - 2)
+    s0, s1 = slews[i], slews[i + 1]
+    l0, l1 = loads[j], loads[j + 1]
+    fs = (s - s0) / (s1 - s0)
+    fl = (ld - l0) / (l1 - l0)
+    return (values[i][j] * (1 - fs) * (1 - fl)
+            + values[i + 1][j] * fs * (1 - fl)
+            + values[i][j + 1] * (1 - fs) * fl
+            + values[i + 1][j + 1] * fs * fl)
+
+
+def _interp(x: float, xs: list, ys: list) -> float:
+    """``np.interp`` of one in-range point (``xs`` ascending, len >= 2)."""
+    j = bisect_right(xs, x) - 1
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 @dataclass

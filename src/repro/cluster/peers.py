@@ -20,11 +20,14 @@ hit, not a characterization.
 
 from __future__ import annotations
 
+import http.client
 import pickle
 import re
+import threading
+from urllib.parse import urlsplit
 
 from ..obs.metrics import get_registry
-from ..serve.client import ServeClient, ServeClientError
+from ..serve.client import ServeClient
 from .ring import HashRing
 
 __all__ = ["DIGEST_RE", "CACHE_TIERS", "PeerCacheClient",
@@ -43,26 +46,51 @@ class PeerCacheClient:
 
     Every failure mode — peer down, timeout, HTTP error — degrades to
     "not found": borrowing is an optimization, never a dependency.
-    Peers are tried with ``retries=0`` so a dead neighbor costs one
-    connect attempt, not a backoff dance on the characterization path.
+    A dead neighbor costs one connect attempt, not a backoff dance on
+    the characterization path.
+
+    Each thread keeps one keep-alive connection per peer: a borrowed
+    sweep fetches one entry per corner, and a new TCP connection (and
+    server thread) per entry cost more than the entry itself. A reused
+    connection the peer has since closed gets one fresh retry.
     """
 
     def __init__(self, peers, timeout_s: float = 5.0):
         # peers: ordered [(name, base_url), ...]
-        self.clients = [(name, ServeClient(url, timeout_s=timeout_s,
-                                           retries=0))
-                        for name, url in peers]
+        self.clients = [(name, urlsplit(url)) for name, url in peers]
+        self.timeout_s = timeout_s
+        self._local = threading.local()
 
     def fetch(self, digest: str, tier: str):
         """``(peer_name, raw_bytes)`` or ``None``."""
-        for name, client in self.clients:
+        path = f"/v1/cache/{digest}?tier={tier}"
+        for name, url in self.clients:
             try:
-                found = client.cache_entry(digest, tier)
-            except (ServeClientError, OSError):
+                status, body = self._get(name, url, path)
+            except (OSError, http.client.HTTPException):
                 continue                 # peer unhappy: try the next
-            if found is not None:
-                return name, found[1]
+            if status == 200:
+                return name, body
         return None
+
+    def _get(self, name: str, url, path: str):
+        conns = self._local.__dict__.setdefault("conns", {})
+        conn = conns.get(name)
+        fresh = conn is None
+        if fresh:
+            conn = conns[name] = http.client.HTTPConnection(
+                url.hostname, url.port, timeout=self.timeout_s)
+        try:
+            conn.request("GET", url.path.rstrip("/") + path,
+                         headers=ServeClient._headers())
+            response = conn.getresponse()
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            del conns[name]
+            if fresh:
+                raise
+            return self._get(name, url, path)
 
 
 class PeerBorrower:

@@ -9,10 +9,12 @@ from .benchmarks import BENCHMARKS, build_benchmark, benchmark_names
 from .synthesis import SynthesisResult, synthesize
 from .placement import PlacementResult, place
 from .routing import RoutingResult, route
-from .sta import TimingResult, analyze_timing
+from .sta import (LibCells, TimingGraph, TimingResult, analyze_graph,
+                  analyze_timing)
 from .power import PowerResult, analyze_power
 from .drc import CheckResult, run_drc, run_lvs
-from .flow import SystemResult, evaluate_system, evaluate_benchmark
+from .flow import (Implementation, SystemResult, evaluate_benchmark,
+                   evaluate_system, implement)
 from .simulation import LogicSimulator, SimulationResult
 from .cost_model import (PaperCosts, PAPER_SYSTEM_EVAL_S, PAPER_TABLE1,
                          table1_row, table1_rows)
@@ -23,10 +25,12 @@ __all__ = [
     "SynthesisResult", "synthesize",
     "PlacementResult", "place",
     "RoutingResult", "route",
-    "TimingResult", "analyze_timing",
+    "TimingResult", "TimingGraph", "LibCells", "analyze_timing",
+    "analyze_graph",
     "PowerResult", "analyze_power",
     "CheckResult", "run_drc", "run_lvs",
-    "SystemResult", "evaluate_system", "evaluate_benchmark",
+    "SystemResult", "Implementation", "implement", "evaluate_system",
+    "evaluate_benchmark",
     "LogicSimulator", "SimulationResult",
     "PaperCosts", "PAPER_SYSTEM_EVAL_S", "PAPER_TABLE1",
     "table1_row", "table1_rows",

@@ -8,11 +8,11 @@ produces meaningful wirelength differences between netlists.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..cells import get_cell
 from .netlist import GateNetlist
 
 __all__ = ["PlacementResult", "place"]
@@ -35,17 +35,15 @@ class PlacementResult:
         return self.die_width_um * self.die_height_um
 
 
-def _bfs_order(netlist: GateNetlist) -> list:
-    loads = netlist.loads()
+def _bfs_order(netlist: GateNetlist, loads: dict) -> list:
     order, seen = [], set()
-    frontier = []
+    frontier = deque()
     for net in netlist.primary_inputs:
         for inst, _ in loads.get(net, []):
             frontier.append(inst)
-    for name in list(netlist.instances):
-        frontier.append(name)
+    frontier.extend(netlist.instances)
     while frontier:
-        name = frontier.pop(0)
+        name = frontier.popleft()
         if name in seen:
             continue
         seen.add(name)
@@ -58,11 +56,40 @@ def _bfs_order(netlist: GateNetlist) -> list:
     return order
 
 
+def _mean(xs: list) -> float:
+    """``float(np.mean(xs))`` bit for bit, without array overhead.
+
+    NumPy sums a float64 array pairwise: one running sum below 8 terms,
+    eight interleaved accumulators combined as a tree up to 128.
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+    elif n <= 128:
+        acc = xs[:8]
+        i = 8
+        while i < n - n % 8:
+            for k in range(8):
+                acc[k] += xs[i + k]
+            i += 8
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for x in xs[i:]:
+            total += x
+    else:
+        return float(np.mean(xs))
+    return total / n
+
+
 def place(netlist: GateNetlist, target_utilization: float = 0.7,
           refine_passes: int = 2) -> PlacementResult:
     """Assign (x, y) to every instance."""
-    order = _bfs_order(netlist)
-    widths = {n: get_cell(netlist.instances[n].cell).area * _UNIT_UM
+    loads = netlist.loads()
+    order = _bfs_order(netlist, loads)
+    areas = {name: c.area for name, c in netlist.cell_types().items()}
+    widths = {n: areas[netlist.instances[n].cell] * _UNIT_UM
               for n in order}
     total_width = sum(widths.values())
     die_area = total_width * _ROW_HEIGHT_UM / target_utilization
@@ -90,17 +117,18 @@ def place(netlist: GateNetlist, target_utilization: float = 0.7,
     commit()
     # Refinement: reorder each row by the mean x of connected cells.
     drivers = netlist.drivers()
-    loads = netlist.loads()
     neighbours: dict = {}
     for name, inst in netlist.instances.items():
-        ns = set()
+        # An insertion-ordered set: ``np.mean`` sums in this order, and a
+        # string set's order changes with the interpreter's hash seed.
+        ns = {}
         for net in inst.input_nets():
             if net in drivers:
-                ns.add(drivers[net])
+                ns[drivers[net]] = None
         for net in inst.output_nets():
             for sink, _ in loads.get(net, []):
-                ns.add(sink)
-        ns.discard(name)
+                ns[sink] = None
+        ns.pop(name, None)
         neighbours[name] = ns
     for _ in range(refine_passes):
         for row in rows:
@@ -108,7 +136,7 @@ def place(netlist: GateNetlist, target_utilization: float = 0.7,
                 ns = neighbours[name]
                 if not ns:
                     return netlist.instances[name].x
-                return float(np.mean([netlist.instances[m].x for m in ns]))
+                return _mean([netlist.instances[m].x for m in ns])
             row.sort(key=key)
         commit()
 

@@ -8,7 +8,7 @@ from ..cells import get_cell
 from ..charlib.liberty import Library
 from .netlist import GateNetlist
 from .routing import RoutingResult
-from .sta import _lib_cell
+from .sta import LibCells
 
 __all__ = ["PowerResult", "analyze_power"]
 
@@ -33,17 +33,20 @@ class PowerResult:
 def analyze_power(netlist: GateNetlist, library: Library,
                   frequency_hz: float,
                   routing: RoutingResult | None = None,
-                  activity: float = 0.15) -> PowerResult:
+                  activity: float = 0.15,
+                  cells: LibCells | None = None) -> PowerResult:
     """Estimate power at ``frequency_hz``.
 
     Dynamic power: per-cell switching energy x toggle rate + wire CV^2f;
     clock power: every FF clock pin toggles each cycle; leakage: sum of
-    per-cell static power.
+    per-cell static power. ``cells`` shares the lib cells (and black-box
+    estimates) an STA of the same sign-off resolved.
     """
+    cells = cells if cells is not None else LibCells(library)
     vdd = library.vdd
     dyn = leak = clk = 0.0
     for inst in netlist.instances.values():
-        lc = _lib_cell(library, inst.cell)
+        lc = cells[inst.cell]
         leak += lc.leakage
         if lc.is_sequential:
             # Clock pin switches every cycle (two edges).

@@ -35,8 +35,10 @@ def route(netlist: GateNetlist, die_area_um2: float | None = None
     drivers = netlist.drivers()
     loads = netlist.loads()
     result = RoutingResult(total_wirelength_um=0.0)
-    nets = set(drivers) | set(loads)
-    for net in nets:
+    # Insertion order (driven nets, then undriven loads), never set
+    # order: the power sum walks ``net_cap`` in this order, and string
+    # set order changes with the interpreter's hash seed.
+    for net in {**drivers, **loads}:
         xs, ys = [], []
         drv = drivers.get(net)
         if drv is not None:

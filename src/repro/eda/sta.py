@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cells import get_cell
-from ..charlib.liberty import LibCell, Library, TimingTable
+from ..charlib.liberty import LibCell, Library, TimingTable, interpolate
 from .netlist import GateNetlist
 from .routing import RoutingResult
 
-__all__ = ["TimingResult", "analyze_timing"]
+__all__ = ["TimingResult", "TimingGraph", "LibCells", "analyze_timing",
+           "analyze_graph"]
 
 _DEFAULT_INPUT_SLEW = 10e-9
 _PO_LOAD = 20e-15
@@ -50,7 +51,7 @@ def _lib_cell(library: Library, name: str) -> LibCell:
     inv = library.cell("INV_X1")
     cell = get_cell(name)
     scale = max(cell.area / max(get_cell("INV_X1").area, 1e-9), 1.0)
-    est = LibCell(
+    return LibCell(
         name=name, area=cell.area,
         input_caps={p: inv.max_input_cap for p in cell.inputs},
         delay=TimingTable(inv.delay.slews, inv.delay.loads,
@@ -65,82 +66,157 @@ def _lib_cell(library: Library, name: str) -> LibCell:
         hold=0.0,
         clk_q=inv.delay.values.max() * 3 * scale ** 0.5,
         min_pulse_width=inv.delay.values.max() * 2)
-    library.cells[name] = est
-    return est
+
+
+class LibCells(dict):
+    """Cell name -> :class:`LibCell` for one analysis against ``library``.
+
+    Library cells are returned as they are; a cell the library lacks is
+    estimated once and kept here, never written into the library, which
+    the engine's caches and concurrent flows share. STA and power of one
+    sign-off share one instance.
+    """
+
+    def __init__(self, library: Library):
+        super().__init__()
+        self.library = library
+
+    def __missing__(self, name: str) -> LibCell:
+        lc = self[name] = _lib_cell(self.library, name)
+        return lc
+
+
+class TimingGraph:
+    """The library-independent timing structure of one netlist.
+
+    Computed once per implemented netlist and reused for every library
+    it is timed against: the topological order of instances, the sinks
+    of every net as ``(cell, pin)`` pairs, the primary outputs and each
+    flip-flop's data net. Instances are referenced, not copied, so the
+    graph shares the netlist's pin dicts, and interned sink tuples keep
+    it small; the netlist must not change afterwards.
+    """
+
+    __slots__ = ("order", "sinks", "captures", "primary_inputs",
+                 "primary_outputs", "output_set", "clock")
+
+    def __init__(self, netlist: GateNetlist):
+        instances = netlist.instances
+        self.order = [instances[name]
+                      for name in netlist.topological_order()]
+        interned: dict = {}
+        sinks: dict = {}
+        for net, loads in netlist.loads().items():
+            pairs = []
+            for inst_name, pin in loads:
+                pair = (instances[inst_name].cell, pin)
+                pairs.append(interned.setdefault(pair, pair))
+            key = tuple(pairs)
+            sinks[net] = interned.setdefault(key, key)
+        self.sinks = sinks
+        self.captures = []
+        for inst in instances.values():
+            cell = get_cell(inst.cell)
+            if cell.is_sequential:
+                self.captures.append((inst, inst.pins[cell.seq.data]))
+        self.primary_inputs = list(netlist.primary_inputs)
+        self.primary_outputs = list(netlist.primary_outputs)
+        self.output_set = frozenset(netlist.primary_outputs)
+        self.clock = netlist.clock
 
 
 def analyze_timing(netlist: GateNetlist, library: Library,
                    routing: RoutingResult | None = None) -> TimingResult:
     """Propagate arrivals and compute the minimum clock period."""
-    drivers = netlist.drivers()
-    loads = netlist.loads()
+    return analyze_graph(TimingGraph(netlist), LibCells(library), routing)
+
+
+def _grid(table: TimingTable) -> tuple:
+    return table.slews.tolist(), table.loads.tolist(), table.values.tolist()
+
+
+def analyze_graph(graph: TimingGraph, cells: LibCells,
+                  routing: RoutingResult | None = None) -> TimingResult:
+    """:func:`analyze_timing` on a prebuilt graph.
+
+    Each lib cell is resolved once per cell name and each pin
+    capacitance once per ``(cell, pin)``; the arithmetic and its order
+    are those of a plain per-instance walk, so results are bit-identical.
+    """
+    wire_cap = routing.net_cap if routing is not None else {}
+    sinks, outputs = graph.sinks, graph.output_set
+    # cell name -> (lib cell, input pins, output pins, delay grid,
+    # output-slew grid); (cell, pin) -> pin capacitance
+    resolved: dict = {}
+    caps: dict = {}
+
+    def resolve(name):
+        lc = cells[name]
+        cell = get_cell(name)
+        entry = resolved[name] = (lc, cell.inputs, cell.outputs,
+                                  _grid(lc.delay), _grid(lc.output_slew))
+        return entry
 
     def net_load(net: str) -> float:
-        total = routing.wire_cap(net) if routing is not None else 0.0
-        for sink, pin in loads.get(net, []):
-            lc = _lib_cell(library, netlist.instances[sink].cell)
-            total += lc.pin_cap(pin)
-        if net in netlist.primary_outputs:
+        total = wire_cap.get(net, 0.0)
+        for pair in sinks.get(net, ()):
+            cap = caps.get(pair)
+            if cap is None:
+                cap = caps[pair] = cells[pair[0]].pin_cap(pair[1])
+            total += cap
+        if net in outputs:
             total += _PO_LOAD
         return total
 
     arrival: dict = {}
     slew: dict = {}
     parent: dict = {}
-    for net in netlist.primary_inputs:
+    for net in graph.primary_inputs:
         arrival[net] = 0.0
         slew[net] = _DEFAULT_INPUT_SLEW
-    arrival[netlist.clock] = 0.0
-    slew[netlist.clock] = _DEFAULT_INPUT_SLEW
+    arrival[graph.clock] = 0.0
+    slew[graph.clock] = _DEFAULT_INPUT_SLEW
 
-    order = netlist.topological_order()
     # Seed FF outputs (launch at clk->q).
-    for name in order:
-        inst = netlist.instances[name]
-        lc = _lib_cell(library, inst.cell)
+    for inst in graph.order:
+        lc, _, outs, _, slew_t = (resolved.get(inst.cell)
+                                  or resolve(inst.cell))
         if lc.is_sequential:
-            for net in inst.output_nets():
+            for pin in outs:
+                net = inst.pins[pin]
                 arrival[net] = lc.clk_q
-                slew[net] = lc.output_slew.lookup(_DEFAULT_INPUT_SLEW,
-                                                  net_load(net))
-                parent[net] = (name, None)
+                slew[net] = interpolate(*slew_t, _DEFAULT_INPUT_SLEW,
+                                        net_load(net))
+                parent[net] = (inst.name, None)
 
-    for name in order:
-        inst = netlist.instances[name]
-        lc = _lib_cell(library, inst.cell)
+    for inst in graph.order:
+        lc, ins, outs, delay_t, slew_t = resolved[inst.cell]
         if lc.is_sequential:
             continue
-        cell = get_cell(inst.cell)
+        pins = inst.pins
         worst_t, worst_s, worst_from = 0.0, _DEFAULT_INPUT_SLEW, None
-        for pin in cell.inputs:
-            net = inst.pins[pin]
+        for pin in ins:
+            net = pins[pin]
             t_in = arrival.get(net, 0.0)
             s_in = slew.get(net, _DEFAULT_INPUT_SLEW)
             if t_in >= worst_t:
                 worst_t, worst_s, worst_from = t_in, s_in, net
-        for out in cell.outputs:
-            net = inst.pins[out]
+        for pin in outs:
+            net = pins[pin]
             load = net_load(net)
-            d = lc.delay.lookup(worst_s, load)
-            arrival[net] = worst_t + d
-            slew[net] = lc.output_slew.lookup(worst_s, load)
-            parent[net] = (name, worst_from)
+            arrival[net] = worst_t + interpolate(*delay_t, worst_s, load)
+            slew[net] = interpolate(*slew_t, worst_s, load)
+            parent[net] = (inst.name, worst_from)
 
     # Capture: FF D pins need setup; POs captured at the period boundary.
     min_period = 0.0
     worst_net = None
-    for name, inst in netlist.instances.items():
-        lc = _lib_cell(library, inst.cell)
-        if not lc.is_sequential:
-            continue
-        cell = get_cell(inst.cell)
-        d_pin = cell.seq.data
-        net = inst.pins[d_pin]
-        t = arrival.get(net, 0.0) + lc.setup
+    for inst, net in graph.captures:
+        t = arrival.get(net, 0.0) + resolved[inst.cell][0].setup
         if t > min_period:
             min_period = t
             worst_net = net
-    for net in netlist.primary_outputs:
+    for net in graph.primary_outputs:
         t = arrival.get(net, 0.0)
         if t > min_period:
             min_period = t

@@ -9,8 +9,12 @@ cacheable service. Every request flows through the same funnel:
    Reuse the library, skip characterization entirely.
 3. **batcher** — remaining GNN characterizations are packed into large
    forward passes (opt-in, see :mod:`repro.engine.batching`).
-4. **executor** — remaining full evaluations fan out over the configured
-   backend (serial / thread / process pool) with input-order results.
+4. **implementation slot** — the design's library-independent flow
+   stages (:func:`repro.eda.flow.implement`) run once and are kept for
+   the next corners of the same design; a new design replaces them.
+5. **executor** — remaining sign-offs (STA + power per library) fan out
+   over the configured backend (serial / thread / process pool) with
+   input-order results.
 
 The default configuration (serial backend, per-cell characterization,
 in-memory cache) reproduces the historical serial path bit-for-bit;
@@ -25,7 +29,7 @@ import time
 import weakref
 from dataclasses import dataclass, replace
 
-from ..eda.flow import evaluate_system
+from ..eda.flow import evaluate_system, implement
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from ..utils.timing import TimingRecord
@@ -77,19 +81,21 @@ def _build_library_task(payload):
 
 
 def _evaluate_corner_task(payload):
-    """Worker task: (build library if needed) + system flow + score.
+    """Worker task: (build library if needed) + sign-off + score.
 
     Module-level so it pickles into pool workers; returns the library so
     the parent process can populate its caches.
     """
-    builder, library, netlist, corner, weights = payload
+    builder, library, netlist, implementation, corner, weights = payload
     lib_rt = 0.0
     if library is None:
         library = builder.build(corner)
         lib_rt = getattr(builder, "last_runtime_s", 0.0)
     t0 = time.perf_counter()
-    result = evaluate_system(netlist, library)
-    flow_rt = time.perf_counter() - t0
+    result = evaluate_system(netlist, library,
+                             implementation=implementation)
+    flow_rt = (time.perf_counter() - t0
+               + sum(implementation.stage_runtimes_s.values()))
     record = EvaluationRecord(corner=corner, result=result,
                               reward=weights.score(result),
                               library_runtime_s=lib_rt,
@@ -148,6 +154,11 @@ class EvaluationEngine:
         # Weakly keyed so a long-lived shared engine does not pin every
         # netlist it ever evaluated in memory.
         self._netlist_fps = weakref.WeakKeyDictionary()
+        # One (netlist fingerprint, Implementation) slot: a sweep
+        # implements its design once and signs off per corner, and a
+        # new design replaces the old one, so memory holds one design.
+        self._impl_slot = None
+        self._impl_lock = threading.Lock()
         self._record_listeners = []
 
     # -- record stream -------------------------------------------------------
@@ -207,6 +218,25 @@ class EvaluationEngine:
                        corner=corner.key(),
                        design=self._netlist_fp(netlist),
                        weights=weights.key())
+
+    def implementation(self, netlist):
+        """``netlist``'s :class:`~repro.eda.flow.Implementation`, built on
+        first use and reused while the same design keeps arriving.
+
+        A fresh build carries its stage seconds; a reuse is a zero-second
+        :meth:`~repro.eda.flow.Implementation.reused` view.
+        """
+        fp = self._netlist_fp(netlist)
+        with self._impl_lock:
+            slot = self._impl_slot
+            if slot is not None and slot[0] == fp:
+                return slot[1].reused()
+            self._impl_slot = None     # drop the old design first
+        with span("engine.implement", design=netlist.name):
+            impl = implement(netlist)
+        with self._impl_lock:
+            self._impl_slot = (fp, impl)
+        return impl
 
     # -- library characterization -----------------------------------------
     def library(self, corner):
@@ -328,6 +358,10 @@ class EvaluationEngine:
         full_fanout = (isinstance(self.backend, ProcessPoolBackend)
                        and not batching)
         miss_corners = [corners[i] for i in missing]
+        # Implemented here, before any fan-out: workers only read it, and
+        # the first corner's evaluation reports the stage seconds.
+        impl = self.implementation(netlist)
+        impls = [impl] + [impl.reused()] * (len(missing) - 1)
         if not full_fanout:
             # Characterize first (batched when enabled), then flow each.
             # Serial: identical call structure to the historical loop.
@@ -339,8 +373,9 @@ class EvaluationEngine:
             # forward passes happen once in this process, and only the
             # flows fan out (shipping libraries, not the builder).
             libs, lib_times = self._libraries_with_times(miss_corners)
-            payloads = [(None, lib, netlist, corner, weights)
-                        for lib, corner in zip(libs, miss_corners)]
+            payloads = [(None, lib, netlist, im, corner, weights)
+                        for lib, im, corner in zip(libs, impls,
+                                                   miss_corners)]
             t0 = time.perf_counter()
             with span("engine.executor", stage="system_flow",
                       backend=self.backend.name, tasks=len(payloads)):
@@ -362,16 +397,17 @@ class EvaluationEngine:
             # shared builder reference is pickled once per chunk (about
             # 4 x workers times per sweep), not once per corner.
             payloads = []
-            for corner in miss_corners:
+            for corner, im in zip(miss_corners, impls):
                 lib = self.library_cache.get(self.library_key(corner))
                 if lib is not None:
-                    payloads.append((None, lib, netlist, corner, weights))
+                    payloads.append((None, lib, netlist, im, corner,
+                                     weights))
                 else:
                     with self._counter_lock:
                         self.characterizations += 1
                     self._m_characterizations.inc()
-                    payloads.append((self.builder, None, netlist, corner,
-                                     weights))
+                    payloads.append((self.builder, None, netlist, im,
+                                     corner, weights))
             t0 = time.perf_counter()
             with span("engine.executor", stage="parallel_evaluate",
                       backend=self.backend.name, tasks=len(payloads)):

@@ -141,6 +141,10 @@ def _content_length(handler) -> int:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in separate writes; with Nagle on, a
+    # keep-alive client (the cluster's peer cache fetches) waits out a
+    # delayed ACK, ~40 ms, on every request after its first.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
     @property

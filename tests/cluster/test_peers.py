@@ -122,6 +122,33 @@ class TestCacheEndpoint:
         assert all_dead.fetch(digest, "results") is None
 
 
+    def test_peer_client_keeps_one_connection_per_thread(self, shard):
+        """A sweep's fetches reuse one keep-alive connection, and one the
+        peer has dropped is replaced transparently."""
+        import socket
+        import threading
+        _, server, digest = shard
+        peers = PeerCacheClient([("live", server.url)])
+        assert peers.fetch(digest, "results")[0] == "live"
+        conn = peers._local.conns["live"]
+        sock = conn.sock
+        assert peers.fetch("cd" * 16, "results") is None      # a 404
+        assert peers.fetch(digest, "results")[0] == "live"
+        assert peers._local.conns["live"] is conn
+        assert conn.sock is sock
+        sock.shutdown(socket.SHUT_RDWR)          # the peer hung up
+        assert peers.fetch(digest, "results")[0] == "live"
+        assert peers._local.conns["live"] is not conn
+        found = []
+        other = threading.Thread(
+            target=lambda: found.append(peers.fetch(digest, "results")))
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
+        assert found[0][0] == "live"
+        assert "live" in peers._local.conns       # this thread's, kept
+
+
 class TestPeerBorrower:
     MEMBERS = {name: {"url": f"http://127.0.0.1:{9000 + i}",
                       "weight": 1.0}

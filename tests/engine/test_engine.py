@@ -1,6 +1,8 @@
 """EvaluationEngine semantics: seed equivalence, caching, parallelism."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -163,6 +165,134 @@ class TestBackends:
         np.testing.assert_allclose([r.reward for r in records],
                                    [r.reward for r in reference],
                                    rtol=1e-9)
+
+
+def _ppa_fields(record):
+    r = record.result
+    return (record.corner.key(), record.reward, r.area_um2,
+            r.wirelength_um, r.min_period_s, r.fmax_hz, r.total_power_w,
+            r.dynamic_power_w, r.leakage_power_w, r.gates, r.flops,
+            r.drc_violations, r.lvs_violations)
+
+
+class TestImplementationReuse:
+    """A design is implemented once per engine; corners only sign off."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.engine import engine as engine_mod
+        calls = []
+        real = engine_mod.implement
+
+        def implement(netlist):
+            calls.append(netlist.name)
+            return real(netlist)
+
+        monkeypatch.setattr(engine_mod, "implement", implement)
+        return calls
+
+    def test_sweep_implements_once(self, builder, netlist, corners,
+                                   counted):
+        weights = PPAWeights()
+        engine = EvaluationEngine(builder, EngineConfig())
+        first = engine.evaluate_many(netlist, corners[:3], weights)
+        rest = engine.evaluate_many(netlist, corners[3:], weights)
+        assert counted == [netlist.name]
+        records = first + rest
+        for corner, record in zip(corners, records):
+            fresh = evaluate_system(netlist, builder.build(corner))
+            assert record.reward == weights.score(fresh)
+            assert _ppa_fields(record)[2:] == (
+                fresh.area_um2, fresh.wirelength_um, fresh.min_period_s,
+                fresh.fmax_hz, fresh.total_power_w, fresh.dynamic_power_w,
+                fresh.leakage_power_w, fresh.gates, fresh.flops,
+                fresh.drc_violations, fresh.lvs_violations)
+        # Only the evaluation that built the implementation pays for it.
+        stages = ("synthesis", "placement", "routing", "drc_lvs")
+        assert all(records[0].result.stage_runtimes_s[s] > 0.0
+                   for s in stages)
+        assert all(r.result.stage_runtimes_s[s] == 0.0
+                   for r in records[1:] for s in stages)
+
+    @pytest.mark.parametrize("backend", ["thread:2", "process:2"])
+    def test_parallel_backends_match_serial(self, builder, netlist,
+                                            corners, backend):
+        reference = EvaluationEngine(builder, EngineConfig()) \
+            .evaluate_many(netlist, corners)
+        with EvaluationEngine(builder,
+                              EngineConfig(backend=backend)) as engine:
+            records = engine.evaluate_many(netlist, corners)
+        assert [_ppa_fields(r) for r in records] == [
+            _ppa_fields(r) for r in reference]
+
+    def test_new_design_replaces_the_slot(self, builder, netlist,
+                                          corners, counted):
+        from repro.eda import build_benchmark
+        other = build_benchmark("s386")
+        engine = EvaluationEngine(builder, EngineConfig())
+        engine.evaluate_many(netlist, corners[:2])
+        first = weakref.ref(engine._impl_slot[1])
+        engine.evaluate_many(other, corners[:2])
+        assert engine._impl_slot[1].netlist.name == "s386"
+        gc.collect()
+        assert first() is None          # nothing else keeps it alive
+        engine.evaluate_many(netlist, corners[2:4])
+        assert engine._impl_slot[1].netlist.name == netlist.name
+        assert counted == [netlist.name, "s386", netlist.name]
+        # Result-cache hits run no flow and implement nothing.
+        engine.evaluate_many(netlist, corners[:4])
+        assert len(counted) == 3
+
+
+    def test_concurrent_designs_get_their_own_implementation(
+            self, monkeypatch):
+        """Threads alternating two designs on one engine: every caller
+        gets its own design's implementation, and the slot's key always
+        matches the implementation stored under it."""
+        import sys
+        import threading
+        from repro.eda import build_benchmark
+        from repro.engine import engine as engine_mod
+
+        class Impl:
+            def __init__(self, name):
+                self.name = name
+
+            def reused(self):
+                return self
+
+        def implement(netlist):
+            time.sleep(0)               # yield mid-build, as a real one
+            return Impl(netlist.name)
+
+        monkeypatch.setattr(engine_mod, "implement", implement)
+        engine = EvaluationEngine(object(), EngineConfig())
+        designs = [build_benchmark("s298"), build_benchmark("s386")]
+        names = {engine._netlist_fp(d): d.name for d in designs}
+        errors = []
+
+        def worker(k):
+            for i in range(300):
+                design = designs[(i + k) % 2]
+                if engine.implementation(design).name != design.name:
+                    errors.append((k, i))
+                slot = engine._impl_slot
+                if slot is not None and names[slot[0]] != slot[1].name:
+                    errors.append(("slot", k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestBuilderFingerprintFallback:

@@ -179,7 +179,7 @@ class TestEngineListener:
         from repro.engine import engine as engine_mod
         from .conftest import smooth_ppa
         monkeypatch.setattr(engine_mod, "evaluate_system",
-                            lambda netlist, library: smooth_ppa(
+                            lambda netlist, library, **_: smooth_ppa(
                                 Corner(*library["corner"])))
         return engine_mod.EvaluationEngine(self._Builder())
 
