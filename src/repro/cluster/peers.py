@@ -60,6 +60,8 @@ class PeerCacheClient:
         self.clients = [(name, urlsplit(url)) for name, url in peers]
         self.timeout_s = timeout_s
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open = []                  # every thread's, for close()
 
     def fetch(self, digest: str, tier: str):
         """``(peer_name, raw_bytes)`` or ``None``."""
@@ -80,6 +82,8 @@ class PeerCacheClient:
         if fresh:
             conn = conns[name] = http.client.HTTPConnection(
                 url.hostname, url.port, timeout=self.timeout_s)
+            with self._lock:
+                self._open.append(conn)
         try:
             conn.request("GET", url.path.rstrip("/") + path,
                          headers=ServeClient._headers())
@@ -88,9 +92,18 @@ class PeerCacheClient:
         except (OSError, http.client.HTTPException):
             conn.close()
             del conns[name]
+            with self._lock:
+                self._open.remove(conn)
             if fresh:
                 raise
             return self._get(name, url, path)
+
+    def close(self) -> None:
+        """Close every thread's connections (a later fetch reopens)."""
+        with self._lock:
+            conns, self._open = self._open, []
+        for conn in conns:
+            conn.close()
 
 
 class PeerBorrower:
@@ -147,6 +160,9 @@ class PeerBorrower:
             self._m_borrows.labels(tier=tier, outcome="hit").inc()
             return value
         return fetch
+
+    def close(self) -> None:
+        self.client.close()
 
     def stats(self) -> dict:
         return {"shard": self.name, "peers": list(self.peer_names),

@@ -281,6 +281,8 @@ class ServeService:
         self._threads = []
         if self.refresher is not None:
             self.refresher.close()
+        if self.peers is not None:
+            self.peers.close()
         self.recorder.stop()
         self._registry.remove_collector(self._collector)
 
@@ -570,9 +572,11 @@ class ServeService:
         re-configuring replaces the previous membership."""
         from ..cluster.peers import PeerBorrower
         borrower = PeerBorrower(self.shard_name or "shard", members)
-        self.peers = borrower
+        previous, self.peers = self.peers, borrower
         for engine in self.workspace.engines():
             borrower.attach(engine)
+        if previous is not None:
+            previous.close()
         return {"shard": self.shard_name,
                 "peers": list(borrower.peer_names)}
 

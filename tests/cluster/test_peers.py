@@ -118,6 +118,7 @@ class TestCacheEndpoint:
         assert name == "live"
         assert pickle.loads(data) == {"planted": True}
         assert peers.fetch("cd" * 16, "results") is None
+        peers.close()
         all_dead = PeerCacheClient([("dead", "http://127.0.0.1:1")])
         assert all_dead.fetch(digest, "results") is None
 
@@ -147,6 +148,10 @@ class TestCacheEndpoint:
         assert not other.is_alive()
         assert found[0][0] == "live"
         assert "live" in peers._local.conns       # this thread's, kept
+        assert len(peers._open) == 2              # one per thread
+        peers.close()
+        assert peers._open == []
+        assert peers._local.conns["live"].sock is None
 
 
 class TestPeerBorrower:
