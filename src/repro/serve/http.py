@@ -39,7 +39,11 @@ GET     ``/v1/cache/{digest}``      one engine disk-cache entry as raw
                                     pickle bytes (``?tier=libraries``
                                     or ``results``; both tried when
                                     omitted) — the cluster peer-borrow
-                                    primitive
+                                    primitive. ``&or=DIGEST&or_tier=T``
+                                    answers with that entry instead
+                                    when the first is absent
+                                    (``X-Repro-Tier`` names the one
+                                    sent)
 POST    ``/v1/cluster/peers``       adopt a cluster membership document
                                     (``{"shards": {name: {url,
                                     weight}}}``) for peer borrowing
@@ -276,9 +280,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- cluster -----------------------------------------------------------
     def _cache_entry(self, digest: str, query: str) -> None:
-        tier = next((p.partition("=")[2] for p in query.split("&")
-                     if p.startswith("tier=")), None)
+        params = dict(p.partition("=")[::2] for p in query.split("&"))
+        tier = params.get("tier")
         found = self.service.cache_entry(digest, tier)
+        if found is None and params.get("or"):
+            # A cold result miss asks for its corner's library in the
+            # same round trip: that is the borrower's next question.
+            found = self.service.cache_entry(params["or"],
+                                             params.get("or_tier"))
         if found is None:
             where = f" in tier {tier!r}" if tier else ""
             raise _ApiError(404, f"no cache entry {digest!r}{where}")

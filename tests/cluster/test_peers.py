@@ -19,6 +19,7 @@ from repro.cluster.peers import (CACHE_TIERS, DIGEST_RE, PeerBorrower,
 from repro.eda import build_benchmark
 from repro.engine import EngineConfig, EvaluationEngine, PPAWeights
 from repro.engine.cache import EvaluationCache
+from repro.engine.hashing import EvalKey
 from repro.serve import ServeClient, ServeService, StcoServer
 from repro.stco import DesignSpace
 from tests.api.conftest import MODEL, TECH
@@ -50,6 +51,14 @@ class TestFetcherTier:
         assert fresh.get("aaaa1111") == {"value": "aaaa1111"}
         assert calls == ["aaaa1111"]
         assert fresh.borrows == 0
+
+    def test_fetcher_sees_the_key_it_was_asked_for(self, tmp_path):
+        seen = []
+        cache = EvaluationCache(4, tmp_path / "tier")
+        cache.set_fetcher(lambda key: seen.append(key))
+        key = EvalKey("lib", builder="x", corner=(1.0, 0.0, 1.0))
+        assert cache.get(key) is None
+        assert seen == [key]
 
     def test_fetcher_miss_counts_and_falls_through(self, tmp_path):
         cache = EvaluationCache(4, tmp_path / "tier")
@@ -121,6 +130,23 @@ class TestCacheEndpoint:
         peers.close()
         all_dead = PeerCacheClient([("dead", "http://127.0.0.1:1")])
         assert all_dead.fetch(digest, "results") is None
+
+    def test_fallback_entry_answers_in_the_same_request(self, shard):
+        _, server, digest = shard
+        peers = PeerCacheClient([("live", server.url)])
+        absent = "cd" * 16
+        # The first entry wins when present...
+        assert peers.fetch_or(digest, "results", absent,
+                              "libraries")[:2] == ("live", "results")
+        # ...else the fallback comes back, named by its tier...
+        name, tier, data = peers.fetch_or(absent, "libraries", digest,
+                                          "results")
+        assert (name, tier) == ("live", "results")
+        assert pickle.loads(data) == {"planted": True}
+        # ...and neither is a plain miss.
+        assert peers.fetch_or(absent, "results", "ef" * 16,
+                              "libraries") is None
+        peers.close()
 
 
     def test_peer_client_keeps_one_connection_per_thread(self, shard):
@@ -273,6 +299,64 @@ class TestBorrowEconomics:
                 == [r.reward for r in records]
         finally:
             service_b.close(timeout=5)
+
+    def test_cold_corner_costs_one_round_trip(self, shard_a, tmp_path):
+        """A result miss asks for the corner's library in the same
+        request: another design on shard A's corners borrows every
+        library (zero characterizations) in one request per corner,
+        and corners nobody holds cost one request each, not two."""
+        ws_b = Workspace(tmp_path / "b" / "ws")
+        service_b = ServeService(ws_b, jobs_dir=tmp_path / "b" / "jobs",
+                                 workers=1, runner=StubRunner(),
+                                 shard_name="b")
+        try:
+            service_b.configure_peers({
+                "a": {"url": shard_a["url"], "weight": 1.0},
+                "b": {"url": "http://unused.invalid", "weight": 1.0}})
+            engine_b = ws_b.engine(TECH, MODEL)
+            requests = []
+            client = service_b.peers.client
+            real_get = client._get
+
+            def counted_get(name, url, path):
+                requests.append(path)
+                return real_get(name, url, path)
+
+            client._get = counted_get
+
+            other = build_benchmark("s386")
+            engine_b.evaluate_many(other, CORNERS, PPAWeights())
+            assert engine_b.characterizations == 0
+            assert engine_b.flow_evaluations == len(CORNERS)
+            assert engine_b.library_cache.borrows == len(CORNERS)
+            assert len(requests) == len(CORNERS)
+
+            # Libraries now local: result asks go without the fallback
+            # (nothing is fetched that the engine will not read).
+            requests.clear()
+            engine_b.evaluate_many(build_benchmark("s526"), CORNERS,
+                                   PPAWeights())
+            assert len(requests) == len(CORNERS)
+            assert not any("or=" in path for path in requests)
+            assert service_b.peers._fallbacks == {}
+
+            cold = DesignSpace(vdd_scales=(0.95,), vth_shifts=(0.01,),
+                               cox_scales=(1.0, 1.1)).points()
+            requests.clear()
+            engine_b.evaluate_many(other, cold, PPAWeights())
+            assert engine_b.characterizations == len(cold)
+            assert len(requests) == len(cold)
+            assert engine_b.library_cache.borrow_misses == len(cold)
+        finally:
+            service_b.close(timeout=5)
+
+    def test_eval_key_names_the_engine_library_key(self, shard_a,
+                                                   netlist):
+        engine = shard_a["engine"]
+        for corner in CORNERS:
+            assert engine.evaluation_key(
+                netlist, corner, PPAWeights()).library_key() \
+                == engine.library_key(corner)
 
     def test_tiers_constant_matches_engine_layout(self, shard_a):
         engine_dir = shard_a["workspace"].engine_dir
