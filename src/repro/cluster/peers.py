@@ -16,29 +16,15 @@ fetcher per tier, attached lazily to every engine the workspace
 creates (:meth:`repro.api.workspace.Workspace.add_engine_hook`), so
 the engine's miss accounting stays truthful: a borrowed hit is a cache
 hit, not a characterization.
-
-A cold corner misses both tiers: first its result, then the library
-the engine characterizes next. Unless that library is local, the
-result ask carries its digest as a fallback (``?or=``), so one round
-trip answers both questions and the library fetcher reuses the
-answer. Under load a
-round trip costs more than the miss itself — on 2 busy vCPUs ~1.5 ms
-against ~0.4 ms idle — so cold traffic pays it once per corner, not
-twice.
 """
 
 from __future__ import annotations
 
-import http.client
 import pickle
 import re
-import threading
-import time
-from urllib.parse import urlsplit
 
-from ..engine.hashing import EvalKey
 from ..obs.metrics import get_registry
-from ..serve.client import ServeClient
+from ..serve.client import ServeClient, ServeClientError
 from .ring import HashRing
 
 __all__ = ["DIGEST_RE", "CACHE_TIERS", "PeerCacheClient",
@@ -51,92 +37,37 @@ DIGEST_RE = re.compile(r"^[0-9a-f]{8,64}$")
 #: Disk-cache tier directory names under ``<workspace>/engine/``.
 CACHE_TIERS = ("libraries", "results")
 
-#: How long the peers' answer about a library, fetched alongside its
-#: corner's result miss, stands in for asking them again.
-FALLBACK_TTL_S = 5.0
-_UNKNOWN = object()
-
 
 class PeerCacheClient:
     """Ask an ordered list of peers for a cache entry; first hit wins.
 
     Every failure mode — peer down, timeout, HTTP error — degrades to
     "not found": borrowing is an optimization, never a dependency.
-    A dead neighbor costs one connect attempt, not a backoff dance on
-    the characterization path.
-
-    Each thread keeps one keep-alive connection per peer: a borrowed
-    sweep fetches one entry per corner, and a new TCP connection (and
-    server thread) per entry cost more than the entry itself. A reused
-    connection the peer has since closed gets one fresh retry.
+    Peers are tried with ``retries=0`` so a dead neighbor costs one
+    connect attempt, not a backoff dance on the characterization path.
+    Each peer's :class:`ServeClient` keeps its connections alive.
     """
 
     def __init__(self, peers, timeout_s: float = 5.0):
         # peers: ordered [(name, base_url), ...]
-        self.clients = [(name, urlsplit(url)) for name, url in peers]
-        self.timeout_s = timeout_s
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._open = []                  # every thread's, for close()
+        self.clients = [(name, ServeClient(url, timeout_s=timeout_s,
+                                           retries=0))
+                        for name, url in peers]
 
     def fetch(self, digest: str, tier: str):
         """``(peer_name, raw_bytes)`` or ``None``."""
-        found = self.fetch_or(digest, tier)
-        return None if found is None else (found[0], found[2])
-
-    def fetch_or(self, digest: str, tier: str, or_digest: str = "",
-                 or_tier: str = ""):
-        """``(peer_name, tier, raw_bytes)`` for ``digest`` from the
-        first peer holding it; else the first peer's ``or_digest``
-        entry (tier ``or_tier``), asked in the same requests; else
-        ``None``."""
-        path = f"/v1/cache/{digest}?tier={tier}"
-        if or_digest:
-            path += f"&or={or_digest}&or_tier={or_tier}"
-        fallback = None
-        for name, url in self.clients:
+        for name, client in self.clients:
             try:
-                status, found_tier, body = self._get(name, url, path)
-            except (OSError, http.client.HTTPException):
+                found = client.cache_entry(digest, tier)
+            except (ServeClientError, OSError):
                 continue                 # peer unhappy: try the next
-            if status != 200:
-                continue
-            if found_tier == tier or not or_digest:
-                return name, tier, body
-            if fallback is None:         # keep asking for the first
-                fallback = name, found_tier, body
-        return fallback
-
-    def _get(self, name: str, url, path: str):
-        conns = self._local.__dict__.setdefault("conns", {})
-        conn = conns.get(name)
-        fresh = conn is None
-        if fresh:
-            conn = conns[name] = http.client.HTTPConnection(
-                url.hostname, url.port, timeout=self.timeout_s)
-            with self._lock:
-                self._open.append(conn)
-        try:
-            conn.request("GET", url.path.rstrip("/") + path,
-                         headers=ServeClient._headers())
-            response = conn.getresponse()
-            return (response.status, response.getheader("X-Repro-Tier"),
-                    response.read())
-        except (OSError, http.client.HTTPException):
-            conn.close()
-            del conns[name]
-            with self._lock:
-                self._open.remove(conn)
-            if fresh:
-                raise
-            return self._get(name, url, path)
+            if found is not None:
+                return name, found[1]
+        return None
 
     def close(self) -> None:
-        """Close every thread's connections (a later fetch reopens)."""
-        with self._lock:
-            conns, self._open = self._open, []
-        for conn in conns:
-            conn.close()
+        for _, client in self.clients:
+            client.close()
 
 
 class PeerBorrower:
@@ -165,59 +96,17 @@ class PeerBorrower:
             "Peer cache borrow attempts by tier and outcome",
             labels=("tier", "outcome"))
         self.counters = {"hits": 0, "misses": 0, "errors": 0}
-        # library digest -> (expiry, raw bytes | None): the peers'
-        # answer fetched alongside a result miss.
-        self._fallbacks: dict = {}
-        self._fallbacks_lock = threading.Lock()
 
     def attach(self, engine) -> None:
         """Point both of an engine's cache tiers at the peers."""
         engine.library_cache.set_fetcher(self._fetcher("libraries"))
-        engine.result_cache.set_fetcher(
-            self._fetcher("results", engine.library_cache))
+        engine.result_cache.set_fetcher(self._fetcher("results"))
 
-    def _remember(self, digest: str, data) -> None:
-        now = time.monotonic()
-        with self._fallbacks_lock:
-            if len(self._fallbacks) >= 256:
-                self._fallbacks = {d: v for d, v in self._fallbacks.items()
-                                   if v[0] > now}
-            self._fallbacks[digest] = (now + FALLBACK_TTL_S, data)
-
-    def _recall(self, digest: str):
-        with self._fallbacks_lock:
-            expiry, data = self._fallbacks.pop(digest, (0.0, None))
-        return data if expiry > time.monotonic() else _UNKNOWN
-
-    def _ask(self, key, tier: str, libraries=None):
-        """``(peer_name, raw_bytes)`` for ``key`` in ``tier``, or
-        ``None``; at most one round trip per peer. A result ask also
-        fetches the corner's library unless ``libraries`` (the
-        engine's library cache) already holds it locally."""
-        digest = key.digest if isinstance(key, EvalKey) else key
-        if tier == "libraries":
-            data = self._recall(digest)
-            if data is not _UNKNOWN:
-                return None if data is None else ("", data)
-            return self.client.fetch(digest, tier)
-        library = key.library_key() if isinstance(key, EvalKey) \
-            else None
-        if library is None or (libraries is not None
-                                and library in libraries):
-            return self.client.fetch(digest, tier)
-        found = self.client.fetch_or(digest, tier, library.digest,
-                                     "libraries")
-        if found is not None and found[1] == tier:
-            return found[0], found[2]
-        self._remember(library.digest,
-                       None if found is None else found[2])
-        return None
-
-    def _fetcher(self, tier: str, libraries=None):
-        def fetch(key):
+    def _fetcher(self, tier: str):
+        def fetch(digest: str):
             if not self.client.clients:
                 return None
-            found = self._ask(key, tier, libraries)
+            found = self.client.fetch(digest, tier)
             if found is None:
                 self.counters["misses"] += 1
                 self._m_borrows.labels(tier=tier,
@@ -237,6 +126,7 @@ class PeerBorrower:
         return fetch
 
     def close(self) -> None:
+        """Close the peer connections (a later borrow reopens)."""
         self.client.close()
 
     def stats(self) -> dict:

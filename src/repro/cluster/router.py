@@ -110,8 +110,13 @@ class Router:
             else cluster_rules(self._members))
 
     def close(self) -> None:
-        """Stop the background series sampler (idempotent)."""
+        """Stop the background series sampler and close the shard
+        clients' kept-alive connections (idempotent)."""
         self.recorder.stop()
+        for client in self._clients.values():
+            close = getattr(client, "close", None)   # stubs may lack it
+            if close is not None:
+                close()
 
     def __enter__(self):
         return self

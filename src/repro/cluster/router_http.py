@@ -55,6 +55,8 @@ ROUTES = (
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-router/1"
     protocol_version = "HTTP/1.1"
+    # As on a shard: no delayed-ACK wait for kept-alive cache reads.
+    disable_nagle_algorithm = True
 
     @property
     def router(self) -> Router:

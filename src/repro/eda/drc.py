@@ -30,12 +30,11 @@ def run_drc(netlist: GateNetlist, max_fanout: int = 16,
     by_row: dict = {}
     for inst in netlist.instances.values():
         by_row.setdefault(round(inst.y, 3), []).append(inst)
-    areas = {name: c.area for name, c in netlist.cell_types().items()}
     for row in by_row.values():
         row.sort(key=lambda i: i.x)
         for a, b in zip(row, row[1:]):
-            wa = areas[a.cell] / 2
-            wb = areas[b.cell] / 2
+            wa = get_cell(a.cell).area / 2
+            wb = get_cell(b.cell).area / 2
             if (b.x - wb) - (a.x + wa) < min_spacing_um - 1e-9:
                 result.violations.append(
                     ("spacing", a.name, b.name))
@@ -56,8 +55,8 @@ def run_lvs(netlist: GateNetlist) -> CheckResult:
         return result
     driven = set(drivers) | set(netlist.primary_inputs) | {netlist.clock}
     for inst in netlist.instances.values():
-        cell = get_cell(inst.cell)
         for pin, net in inst.pins.items():
+            cell = get_cell(inst.cell)
             if pin in cell.inputs and net not in driven:
                 result.violations.append(("floating", inst.name, pin, net))
     for net in netlist.primary_outputs:

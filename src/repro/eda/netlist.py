@@ -69,29 +69,20 @@ class GateNetlist:
         return pins[cell_obj.outputs[0]]
 
     # -- queries ----------------------------------------------------------
-    def cell_types(self) -> dict:
-        """Cell name -> :class:`~repro.cells.Cell`, for each type used."""
-        return {name: get_cell(name)
-                for name in {i.cell for i in self.instances.values()}}
-
     @property
     def num_gates(self) -> int:
         return len(self.instances)
 
     @property
     def num_flops(self) -> int:
-        cells = self.cell_types()
         return sum(1 for i in self.instances.values()
-                   if cells[i.cell].is_sequential)
+                   if get_cell(i.cell).is_sequential)
 
     def drivers(self) -> dict:
         """net -> driving instance name (primary inputs have no driver)."""
         out = {}
-        cells = self.cell_types()
         for inst in self.instances.values():
-            pins = inst.pins
-            for pin in cells[inst.cell].outputs:
-                net = pins[pin]
+            for net in inst.output_nets():
                 if net in out:
                     raise ValueError(f"net {net} has multiple drivers")
                 out[net] = inst.name
@@ -100,15 +91,10 @@ class GateNetlist:
     def loads(self) -> dict:
         """net -> [(instance, pin)] sinks."""
         out: dict = {}
-        cells = self.cell_types()
         for inst in self.instances.values():
-            pins, name = inst.pins, inst.name
-            for pin in cells[inst.cell].inputs:
-                sinks = out.get(pins[pin])
-                if sinks is None:
-                    out[pins[pin]] = [(name, pin)]
-                else:
-                    sinks.append((name, pin))
+            cell = get_cell(inst.cell)
+            for pin in cell.inputs:
+                out.setdefault(inst.pins[pin], []).append((inst.name, pin))
         return out
 
     def copy(self) -> "GateNetlist":
@@ -143,11 +129,10 @@ class GateNetlist:
         create dependencies (the clock edge cuts them).
         """
         drivers = self.drivers()
-        cells = self.cell_types()
         indeg: dict = {}
         dependents: dict = {}
         for inst in self.instances.values():
-            cell = cells[inst.cell]
+            cell = get_cell(inst.cell)
             if cell.is_sequential:
                 indeg[inst.name] = 0       # launches at the clock edge
                 continue
@@ -157,7 +142,7 @@ class GateNetlist:
                 drv = drivers.get(net)
                 if drv is None:
                     continue
-                if cells[self.instances[drv].cell].is_sequential:
+                if get_cell(self.instances[drv].cell).is_sequential:
                     continue
                 dependents.setdefault(drv, []).append(inst.name)
                 count += 1

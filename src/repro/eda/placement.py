@@ -8,11 +8,11 @@ produces meaningful wirelength differences between netlists.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..cells import get_cell
 from .netlist import GateNetlist
 
 __all__ = ["PlacementResult", "place"]
@@ -35,15 +35,17 @@ class PlacementResult:
         return self.die_width_um * self.die_height_um
 
 
-def _bfs_order(netlist: GateNetlist, loads: dict) -> list:
+def _bfs_order(netlist: GateNetlist) -> list:
+    loads = netlist.loads()
     order, seen = [], set()
-    frontier = deque()
+    frontier = []
     for net in netlist.primary_inputs:
         for inst, _ in loads.get(net, []):
             frontier.append(inst)
-    frontier.extend(netlist.instances)
+    for name in list(netlist.instances):
+        frontier.append(name)
     while frontier:
-        name = frontier.popleft()
+        name = frontier.pop(0)
         if name in seen:
             continue
         seen.add(name)
@@ -56,40 +58,11 @@ def _bfs_order(netlist: GateNetlist, loads: dict) -> list:
     return order
 
 
-def _mean(xs: list) -> float:
-    """``float(np.mean(xs))`` bit for bit, without array overhead.
-
-    NumPy sums a float64 array pairwise: one running sum below 8 terms,
-    eight interleaved accumulators combined as a tree up to 128.
-    """
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-    elif n <= 128:
-        acc = xs[:8]
-        i = 8
-        while i < n - n % 8:
-            for k in range(8):
-                acc[k] += xs[i + k]
-            i += 8
-        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-        for x in xs[i:]:
-            total += x
-    else:
-        return float(np.mean(xs))
-    return total / n
-
-
 def place(netlist: GateNetlist, target_utilization: float = 0.7,
           refine_passes: int = 2) -> PlacementResult:
     """Assign (x, y) to every instance."""
-    loads = netlist.loads()
-    order = _bfs_order(netlist, loads)
-    areas = {name: c.area for name, c in netlist.cell_types().items()}
-    widths = {n: areas[netlist.instances[n].cell] * _UNIT_UM
+    order = _bfs_order(netlist)
+    widths = {n: get_cell(netlist.instances[n].cell).area * _UNIT_UM
               for n in order}
     total_width = sum(widths.values())
     die_area = total_width * _ROW_HEIGHT_UM / target_utilization
@@ -117,6 +90,7 @@ def place(netlist: GateNetlist, target_utilization: float = 0.7,
     commit()
     # Refinement: reorder each row by the mean x of connected cells.
     drivers = netlist.drivers()
+    loads = netlist.loads()
     neighbours: dict = {}
     for name, inst in netlist.instances.items():
         # An insertion-ordered set: ``np.mean`` sums in this order, and a
@@ -136,7 +110,7 @@ def place(netlist: GateNetlist, target_utilization: float = 0.7,
                 ns = neighbours[name]
                 if not ns:
                     return netlist.instances[name].x
-                return _mean([netlist.instances[m].x for m in ns])
+                return float(np.mean([netlist.instances[m].x for m in ns]))
             row.sort(key=key)
         commit()
 

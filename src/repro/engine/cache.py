@@ -307,10 +307,8 @@ class EvaluationCache:
 
     def set_fetcher(self, fetcher) -> None:
         """Install (or clear, with ``None``) the miss-fallback hook:
-        ``fetcher(key) -> value | None``, where ``key`` is what
-        :meth:`get` was given (an :class:`EvalKey` or a digest). Called
-        outside the cache lock; any network failure must come back as
-        ``None``."""
+        ``fetcher(digest) -> value | None``. Called outside the cache
+        lock; any network failure must come back as ``None``."""
         self._fetcher = fetcher
 
     def get(self, key: EvalKey, default=None):
@@ -326,7 +324,7 @@ class EvaluationCache:
                     return value
             fetcher = self._fetcher
         if fetcher is not None:
-            value = fetcher(key)
+            value = fetcher(digest)
             if value is not None:
                 # A borrowed hit is installed through both local tiers
                 # (the "disk-cache install"): the next request — this

@@ -210,8 +210,8 @@ class EvaluationEngine:
         return fp
 
     def library_key(self, corner) -> EvalKey:
-        return EvalKey.for_library(self.builder_fingerprint(),
-                                   corner.key())
+        return EvalKey("lib", builder=self.builder_fingerprint(),
+                       corner=corner.key())
 
     def evaluation_key(self, netlist, corner, weights) -> EvalKey:
         return EvalKey("eval", builder=self.builder_fingerprint(),

@@ -113,17 +113,3 @@ class EvalKey:
 
     def __repr__(self):
         return f"EvalKey({self.kind}, {self.digest[:12]}…)"
-
-    @classmethod
-    def for_library(cls, builder: str, corner) -> "EvalKey":
-        """The key of one corner's library under one builder."""
-        return cls("lib", builder=builder, corner=corner)
-
-    def library_key(self) -> "EvalKey | None":
-        """An "eval" key's library: the "lib" key of the same builder
-        and corner, which is what a miss on this key characterizes
-        next. ``None`` for any other kind."""
-        if self.kind != "eval":
-            return None
-        return EvalKey.for_library(self.parts["builder"],
-                                   self.parts["corner"])

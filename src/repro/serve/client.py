@@ -16,15 +16,23 @@ Submissions are content-keyed and coalesced server-side, so a retried
 POST is idempotent — except ``force=True``, where a retry after an
 ambiguous drop may execute twice (forced runs opt out of dedup by
 definition).
+
+Cache-entry reads (:meth:`ServeClient.cache_entry`, the cluster's
+peer-borrow primitive) reuse keep-alive connections: a borrowed sweep
+reads one entry per corner, and a new TCP connection per entry costs
+more than the entry.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 from ..obs.trace import (TRACEPARENT_HEADER, current_context,
                          current_traceparent, mint_context,
@@ -43,6 +51,13 @@ class ServeClientError(RuntimeError):
         self.message = message
         self.body = body                 # decoded JSON body, when any
         self.retry_after = retry_after   # server's Retry-After seconds
+
+
+#: What a kept-alive connection raises when the server has closed it
+#: since its last request: worth one more try on a fresh connection.
+#: A timeout is not among them — a stalled server is not retried.
+_STALE = (http.client.BadStatusLine, ConnectionResetError,
+          BrokenPipeError)
 
 
 def _transient(exc: urllib.error.URLError) -> bool:
@@ -68,6 +83,15 @@ class ServeClient:
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s
+        self._idle: list = []            # kept-alive cache connections
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the kept-alive connections (a later read reopens)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     # -- transport ---------------------------------------------------------
     def _backoff(self, attempt: int) -> float:
@@ -214,21 +238,64 @@ class ServeClient:
 
         Returns ``(tier, raw_pickle_bytes)`` or ``None`` when no shard
         tier holds the digest — the cluster peer-borrow primitive.
+        Transport failures are retried like every other request; a
+        non-404 error status raises :class:`ServeClientError`.
         """
         path = f"/v1/cache/{digest}"
         if tier is not None:
             path += f"?tier={tier}"
-        request = urllib.request.Request(f"{self.base_url}{path}",
-                                         method="GET",
-                                         headers=self._headers())
+        attempt = 0
+        while True:
+            try:
+                status, found, body = self._get_kept_alive(path)
+                break
+            except (ConnectionError, TimeoutError):
+                if attempt >= self.retries:
+                    raise
+                time.sleep(self._backoff(attempt))
+                attempt += 1
+        if status == 404:
+            return None
+        if status != 200:
+            try:
+                message = json.loads(body.decode("utf-8"))["error"]
+            except (ValueError, KeyError, TypeError):
+                message = f"cache read failed ({status})"
+            raise ServeClientError(status, message)
+        return found or tier or "", body
+
+    def _get_kept_alive(self, path: str):
+        """``(status, X-Repro-Tier, body)`` for one GET on an idle
+        kept-alive connection, or a new one. A reused connection the
+        server has closed meanwhile is dropped and the next one tried;
+        any other failure (refused, timed out) raises."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            url = urlsplit(self.base_url)
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=self.timeout_s)
         try:
-            with self._open(request) as resp:
-                found = resp.headers.get("X-Repro-Tier", tier or "")
-                return found, resp.read()
-        except ServeClientError as exc:
-            if exc.status == 404:
-                return None
+            conn.request("GET", urlsplit(self.base_url).path + path,
+                         headers=self._headers())
+            resp = conn.getresponse()
+            answer = resp.status, resp.getheader("X-Repro-Tier"), \
+                resp.read()
+        except _STALE:
+            conn.close()
+            if not reused:
+                raise
+            return self._get_kept_alive(path)
+        except BaseException:
+            conn.close()
             raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return answer
 
     # -- tier-0 inference --------------------------------------------------
     def predict(self, design: str, corner) -> dict:

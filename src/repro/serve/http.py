@@ -39,11 +39,7 @@ GET     ``/v1/cache/{digest}``      one engine disk-cache entry as raw
                                     pickle bytes (``?tier=libraries``
                                     or ``results``; both tried when
                                     omitted) — the cluster peer-borrow
-                                    primitive. ``&or=DIGEST&or_tier=T``
-                                    answers with that entry instead
-                                    when the first is absent
-                                    (``X-Repro-Tier`` names the one
-                                    sent)
+                                    primitive
 POST    ``/v1/cluster/peers``       adopt a cluster membership document
                                     (``{"shards": {name: {url,
                                     weight}}}``) for peer borrowing
@@ -146,8 +142,8 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
     # Headers and body leave in separate writes; with Nagle on, a
-    # keep-alive client (the cluster's peer cache fetches) waits out a
-    # delayed ACK, ~40 ms, on every request after its first.
+    # kept-alive client (peer cache reads) waits out a delayed ACK,
+    # ~40 ms, on every request after its first.
     disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
@@ -280,14 +276,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- cluster -----------------------------------------------------------
     def _cache_entry(self, digest: str, query: str) -> None:
-        params = dict(p.partition("=")[::2] for p in query.split("&"))
-        tier = params.get("tier")
+        tier = next((p.partition("=")[2] for p in query.split("&")
+                     if p.startswith("tier=")), None)
         found = self.service.cache_entry(digest, tier)
-        if found is None and params.get("or"):
-            # A cold result miss asks for its corner's library in the
-            # same round trip: that is the borrower's next question.
-            found = self.service.cache_entry(params["or"],
-                                             params.get("or_tier"))
         if found is None:
             where = f" in tier {tier!r}" if tier else ""
             raise _ApiError(404, f"no cache entry {digest!r}{where}")

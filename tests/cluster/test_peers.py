@@ -10,6 +10,9 @@ caches across shards that share no disk.
 """
 
 import pickle
+import socket
+import threading
+import time
 
 import pytest
 
@@ -19,7 +22,6 @@ from repro.cluster.peers import (CACHE_TIERS, DIGEST_RE, PeerBorrower,
 from repro.eda import build_benchmark
 from repro.engine import EngineConfig, EvaluationEngine, PPAWeights
 from repro.engine.cache import EvaluationCache
-from repro.engine.hashing import EvalKey
 from repro.serve import ServeClient, ServeService, StcoServer
 from repro.stco import DesignSpace
 from tests.api.conftest import MODEL, TECH
@@ -52,14 +54,6 @@ class TestFetcherTier:
         assert calls == ["aaaa1111"]
         assert fresh.borrows == 0
 
-    def test_fetcher_sees_the_key_it_was_asked_for(self, tmp_path):
-        seen = []
-        cache = EvaluationCache(4, tmp_path / "tier")
-        cache.set_fetcher(lambda key: seen.append(key))
-        key = EvalKey("lib", builder="x", corner=(1.0, 0.0, 1.0))
-        assert cache.get(key) is None
-        assert seen == [key]
-
     def test_fetcher_miss_counts_and_falls_through(self, tmp_path):
         cache = EvaluationCache(4, tmp_path / "tier")
         cache.set_fetcher(lambda digest: None)
@@ -75,6 +69,45 @@ class TestFetcherTier:
                                          "borrow_misses": 0}
         cache.set_fetcher(None)
         assert "peer" not in cache.stats()
+
+
+_NOT_FOUND = (b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n"
+              b"Content-Type: application/json\r\n\r\n")
+
+
+class _ScriptedPeer:
+    """A raw TCP peer: connection ``i`` answers its requests with
+    ``script[i]`` in turn (``None``: read the request, never answer),
+    then hangs up. Counts the connections it accepted."""
+
+    def __init__(self, script):
+        self.script = script
+        self.connections = 0
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        for answers in self.script:
+            conn, _ = self._sock.accept()
+            self.connections += 1
+            with conn:
+                for answer in answers:
+                    conn.recv(65536)
+                    if answer is None:
+                        self._stop.wait(10)
+                        return
+                    conn.sendall(answer)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._sock.close()
+        self._thread.join(timeout=10)
 
 
 class TestCacheEndpoint:
@@ -105,6 +138,7 @@ class TestCacheEndpoint:
         # The other tier does not hold it.
         assert client.cache_entry(digest, tier="libraries") is None
         assert client.cache_entry("cd" * 16) is None
+        client.close()
 
     def test_digest_grammar_guards_the_path(self, shard):
         service, _, _ = shard
@@ -131,53 +165,46 @@ class TestCacheEndpoint:
         all_dead = PeerCacheClient([("dead", "http://127.0.0.1:1")])
         assert all_dead.fetch(digest, "results") is None
 
-    def test_fallback_entry_answers_in_the_same_request(self, shard):
+    def test_cache_reads_reuse_one_connection(self, shard):
+        """A sweep's reads, hits and 404s alike, share one kept-alive
+        connection; ``close`` drops it and the next read reopens."""
         _, server, digest = shard
-        peers = PeerCacheClient([("live", server.url)])
-        absent = "cd" * 16
-        # The first entry wins when present...
-        assert peers.fetch_or(digest, "results", absent,
-                              "libraries")[:2] == ("live", "results")
-        # ...else the fallback comes back, named by its tier...
-        name, tier, data = peers.fetch_or(absent, "libraries", digest,
-                                          "results")
-        assert (name, tier) == ("live", "results")
-        assert pickle.loads(data) == {"planted": True}
-        # ...and neither is a plain miss.
-        assert peers.fetch_or(absent, "results", "ef" * 16,
-                              "libraries") is None
-        peers.close()
-
-
-    def test_peer_client_keeps_one_connection_per_thread(self, shard):
-        """A sweep's fetches reuse one keep-alive connection, and one the
-        peer has dropped is replaced transparently."""
-        import socket
-        import threading
-        _, server, digest = shard
-        peers = PeerCacheClient([("live", server.url)])
-        assert peers.fetch(digest, "results")[0] == "live"
-        conn = peers._local.conns["live"]
+        client = ServeClient(server.url, timeout_s=10, retries=0)
+        assert client.cache_entry(digest)[0] == "results"
+        (conn,) = client._idle
         sock = conn.sock
-        assert peers.fetch("cd" * 16, "results") is None      # a 404
-        assert peers.fetch(digest, "results")[0] == "live"
-        assert peers._local.conns["live"] is conn
-        assert conn.sock is sock
-        sock.shutdown(socket.SHUT_RDWR)          # the peer hung up
-        assert peers.fetch(digest, "results")[0] == "live"
-        assert peers._local.conns["live"] is not conn
-        found = []
-        other = threading.Thread(
-            target=lambda: found.append(peers.fetch(digest, "results")))
-        other.start()
-        other.join(timeout=30)
-        assert not other.is_alive()
-        assert found[0][0] == "live"
-        assert "live" in peers._local.conns       # this thread's, kept
-        assert len(peers._open) == 2              # one per thread
-        peers.close()
-        assert peers._open == []
-        assert peers._local.conns["live"].sock is None
+        assert client.cache_entry("cd" * 16) is None
+        assert client.cache_entry(digest, tier="results")[0] == "results"
+        assert client._idle == [conn] and conn.sock is sock
+        client.close()
+        assert client._idle == [] and conn.sock is None
+        assert client.cache_entry(digest)[0] == "results"
+        client.close()
+
+    def test_dropped_connection_is_reopened_once(self):
+        """A kept-alive connection the peer has since closed costs one
+        fresh connection, not a failed borrow."""
+        script = [[_NOT_FOUND], [_NOT_FOUND]]     # hang up after each
+        with _ScriptedPeer(script) as peer:
+            client = ServeClient(peer.url, timeout_s=5, retries=0)
+            assert client.cache_entry("cd" * 16) is None
+            assert client.cache_entry("cd" * 16) is None
+            client.close()
+        assert peer.connections == 2
+
+    def test_stalled_peer_costs_one_timeout(self):
+        """A peer that accepts and then never answers is not retried:
+        the borrow degrades to a miss after one timeout."""
+        script = [[_NOT_FOUND, None]]             # answer, then stall
+        with _ScriptedPeer(script) as peer:
+            peers = PeerCacheClient([("slow", peer.url)], timeout_s=0.5)
+            assert peers.fetch("cd" * 16, "results") is None
+            t0 = time.monotonic()
+            assert peers.fetch("cd" * 16, "results") is None
+            elapsed = time.monotonic() - t0
+            peers.close()
+        assert peer.connections == 1
+        assert 0.4 < elapsed < 0.9
 
 
 class TestPeerBorrower:
@@ -299,64 +326,6 @@ class TestBorrowEconomics:
                 == [r.reward for r in records]
         finally:
             service_b.close(timeout=5)
-
-    def test_cold_corner_costs_one_round_trip(self, shard_a, tmp_path):
-        """A result miss asks for the corner's library in the same
-        request: another design on shard A's corners borrows every
-        library (zero characterizations) in one request per corner,
-        and corners nobody holds cost one request each, not two."""
-        ws_b = Workspace(tmp_path / "b" / "ws")
-        service_b = ServeService(ws_b, jobs_dir=tmp_path / "b" / "jobs",
-                                 workers=1, runner=StubRunner(),
-                                 shard_name="b")
-        try:
-            service_b.configure_peers({
-                "a": {"url": shard_a["url"], "weight": 1.0},
-                "b": {"url": "http://unused.invalid", "weight": 1.0}})
-            engine_b = ws_b.engine(TECH, MODEL)
-            requests = []
-            client = service_b.peers.client
-            real_get = client._get
-
-            def counted_get(name, url, path):
-                requests.append(path)
-                return real_get(name, url, path)
-
-            client._get = counted_get
-
-            other = build_benchmark("s386")
-            engine_b.evaluate_many(other, CORNERS, PPAWeights())
-            assert engine_b.characterizations == 0
-            assert engine_b.flow_evaluations == len(CORNERS)
-            assert engine_b.library_cache.borrows == len(CORNERS)
-            assert len(requests) == len(CORNERS)
-
-            # Libraries now local: result asks go without the fallback
-            # (nothing is fetched that the engine will not read).
-            requests.clear()
-            engine_b.evaluate_many(build_benchmark("s526"), CORNERS,
-                                   PPAWeights())
-            assert len(requests) == len(CORNERS)
-            assert not any("or=" in path for path in requests)
-            assert service_b.peers._fallbacks == {}
-
-            cold = DesignSpace(vdd_scales=(0.95,), vth_shifts=(0.01,),
-                               cox_scales=(1.0, 1.1)).points()
-            requests.clear()
-            engine_b.evaluate_many(other, cold, PPAWeights())
-            assert engine_b.characterizations == len(cold)
-            assert len(requests) == len(cold)
-            assert engine_b.library_cache.borrow_misses == len(cold)
-        finally:
-            service_b.close(timeout=5)
-
-    def test_eval_key_names_the_engine_library_key(self, shard_a,
-                                                   netlist):
-        engine = shard_a["engine"]
-        for corner in CORNERS:
-            assert engine.evaluation_key(
-                netlist, corner, PPAWeights()).library_key() \
-                == engine.library_key(corner)
 
     def test_tiers_constant_matches_engine_layout(self, shard_a):
         engine_dir = shard_a["workspace"].engine_dir

@@ -163,17 +163,3 @@ class TestLookup:
                     want = _reference_lookup(table, s, ld)
                     assert type(got) is float
                     assert got == want, (shape, s, ld)
-
-
-class TestPlacementMean:
-    def test_bit_identical_to_numpy(self):
-        """The placer's row-sort key: its scalar mean must reproduce
-        ``np.mean``'s pairwise sum exactly, across its size regimes."""
-        from repro.eda.placement import _mean
-        rng = random.Random(7)
-        sizes = list(range(1, 40)) + [127, 128, 129, 200, 300]
-        for n in sizes:
-            for _ in range(200):
-                xs = [rng.uniform(0.0, 3000.0) * rng.choice((1.0, 1e-3))
-                      for _ in range(n)]
-                assert _mean(xs) == float(np.mean(xs)), n

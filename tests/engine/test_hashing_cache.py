@@ -102,13 +102,6 @@ class TestEvalKey:
         assert a == b and hash(a) == hash(b)
         assert a != c and a.digest != c.digest
 
-    def test_library_key_of_an_eval_key(self):
-        full = EvalKey("eval", builder="x", corner=(1.0, 0.0, 1.0),
-                       design="d", weights=(1.0, 1.0, 0.5))
-        lib = EvalKey("lib", builder="x", corner=(1.0, 0.0, 1.0))
-        assert full.library_key() == lib
-        assert lib.library_key() is None
-
 
 class TestLRUCache:
     def test_hit_miss_stats(self):
