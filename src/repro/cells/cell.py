@@ -4,8 +4,7 @@ A :class:`Cell` stores a technology-independent transistor netlist (node
 names + width multipliers). Binding it to a technology (N/P
 :class:`~repro.compact.tft.TFTParams`) instantiates real TFTs into a
 :class:`~repro.spice.netlist.Circuit` for characterization, while the
-boolean/sequential model drives logic simulation, vector enumeration and
-the EDA flow.
+boolean/sequential model drives vector enumeration and the EDA flow.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ import time
 from pathlib import Path
 
 from ..serve.client import ServeClient, ServeClientError
-from .router import Router
-from .router_http import RouterServer
+from .router import Router, RouterServer
 
 __all__ = ["ShardProcess", "LocalCluster", "join_cluster"]
 

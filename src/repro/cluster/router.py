@@ -3,9 +3,10 @@
 A :class:`Router` owns the cluster membership (names, URLs, weights),
 the consistent-hash ring built from it, and one retrying
 :class:`~repro.serve.client.ServeClient` per shard. Its methods mirror
-a single :class:`~repro.serve.pool.ServeService` so the HTTP front end
-(:mod:`~repro.cluster.router_http`) can expose the *same* surface a
-shard does — clients cannot tell a cluster from a shard. The mapping:
+a single :class:`~repro.serve.pool.ServeService` so the one HTTP front
+end (:mod:`~repro.serve.http`, as :class:`RouterServer`) exposes the
+*same* surface a shard does — clients cannot tell a cluster from a
+shard. The mapping:
 
 * **submissions** route by :func:`~repro.cluster.ring.route_key` to
   the owning shard, so per-shard coalescing/dedup is globally correct;
@@ -35,10 +36,11 @@ from ..obs.trace import (Span, TraceContext, current_context,
                          new_span_id, new_trace_id, span,
                          trace_context)
 from ..serve.client import ServeClient, ServeClientError
+from ..serve.http import ROUTER, ApiError, StcoServer
 from ..serve.jobs import UnknownJobError
 from .ring import HashRing, route_key
 
-__all__ = ["ShardUnavailable", "Router"]
+__all__ = ["ShardUnavailable", "Router", "RouterServer"]
 
 #: Router-side submit spans kept for stitching (newest win).
 TRACES_MAX = 1024
@@ -54,6 +56,10 @@ class ShardUnavailable(RuntimeError):
         super().__init__(f"shard {shard!r} unavailable: {cause}")
         self.shard = shard
         self.cause = cause
+
+    def http_reply(self) -> tuple:
+        return (503, {"error": str(self), "shard": self.shard},
+                {"Retry-After": "2"})
 
 
 def _worst(a: str, b: str) -> str:
@@ -290,10 +296,14 @@ class Router:
                  f"(tried {', '.join(lacking) or 'none'})")
 
     def predict(self, design: str, corner) -> dict:
+        if not isinstance(corner, (list, tuple)):
+            raise ApiError(400, "'corner' must be a 3-number list")
         return self._predict_any(
             f"predict:{design}", lambda c: c.predict(design, corner))
 
     def predict_batch(self, design: str, corners) -> dict:
+        if not isinstance(corners, list):
+            raise ApiError(400, "'corners' must be a list")
         return self._predict_any(
             f"predict:{design}",
             lambda c: c.predict_batch(design, corners))
@@ -467,7 +477,8 @@ class Router:
         return {"role": "router", "shards": {**results, **errors}}
 
     def cache_entry(self, digest: str, tier: str | None = None):
-        """First shard that holds the digest wins (fan-out read)."""
+        """First shard that holds the digest wins (fan-out read); no
+        shard holding it is a 404."""
         for name, client in self._clients.items():
             try:
                 found = client.cache_entry(digest, tier)
@@ -475,7 +486,7 @@ class Router:
                 continue
             if found is not None:
                 return found
-        return None
+        raise ApiError(404, f"no cache entry {digest!r} on any shard")
 
     def cluster_info(self) -> dict:
         with self._lock:
@@ -574,3 +585,24 @@ class Router:
             buckets[key] = [[None if bound == inf else bound, count]
                             for bound, count in cumulative]
         return values, buckets
+
+    # The names the HTTP front end calls (a shard's own ``submit`` and
+    # ``cancel`` return a Job and a bool; these answer the wire).
+    submit_run, cancel_run, slo_report = submit, cancel, slo
+
+
+class RouterServer(StcoServer):
+    """The shared HTTP front end (:class:`~repro.serve.http.StcoServer`)
+    over a :class:`Router`: the router's role and route table, its
+    shards' own heartbeats relayed, and the router closed with it."""
+
+    role = ROUTER
+
+    def __init__(self, router: Router, host: str = "127.0.0.1",
+                 port: int = 0, verbose: bool = False):
+        super().__init__(router, host=host, port=port, verbose=verbose)
+        self.httpd.sse_heartbeat_s = None    # relay the shards' own
+        self.router = router
+
+    def close(self) -> None:
+        super().close(close_service=True)   # stops the series sampler

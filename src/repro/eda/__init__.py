@@ -15,7 +15,6 @@ from .power import PowerResult, analyze_power
 from .drc import CheckResult, run_drc, run_lvs
 from .flow import (Implementation, SystemResult, evaluate_benchmark,
                    evaluate_system, implement)
-from .simulation import LogicSimulator, SimulationResult
 from .cost_model import (PaperCosts, PAPER_SYSTEM_EVAL_S, PAPER_TABLE1,
                          table1_row, table1_rows)
 
@@ -31,7 +30,6 @@ __all__ = [
     "CheckResult", "run_drc", "run_lvs",
     "SystemResult", "Implementation", "implement", "evaluate_system",
     "evaluate_benchmark",
-    "LogicSimulator", "SimulationResult",
     "PaperCosts", "PAPER_SYSTEM_EVAL_S", "PAPER_TABLE1",
     "table1_row", "table1_rows",
 ]

@@ -2,8 +2,8 @@
 
 A :class:`GateNetlist` is a DAG of cell instances over named nets, with
 primary inputs/outputs and a clock. Sequential cells cut the combinational
-topology, so levelization (for STA and simulation) treats FF outputs as
-sources and FF data pins as sinks.
+topology, so levelization (for STA) treats FF outputs as sources and FF
+data pins as sinks.
 """
 
 from __future__ import annotations

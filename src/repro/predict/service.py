@@ -67,6 +67,9 @@ class PredictError(Exception):
         self.message = message
         self.status = status
 
+    def http_reply(self) -> tuple:
+        return self.status, {"error": self.message}, None
+
 
 def _corner_of(value):
     from ..charlib.corners import Corner

@@ -15,7 +15,8 @@ cancellation, and stdlib HTTP/CLI front ends:
 * :mod:`~repro.serve.pool` — :class:`ServeService`, the worker pool
   draining the queue against the shared workspace;
 * :mod:`~repro.serve.http` — :class:`StcoServer`, a dependency-free
-  ``ThreadingHTTPServer`` JSON API;
+  ``ThreadingHTTPServer`` JSON API (one route table and handler, also
+  the cluster router's front end);
 * :mod:`~repro.serve.client` — :class:`ServeClient`, the urllib
   counterpart (also behind ``repro submit``).
 

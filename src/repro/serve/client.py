@@ -52,6 +52,15 @@ class ServeClientError(RuntimeError):
         self.body = body                 # decoded JSON body, when any
         self.retry_after = retry_after   # server's Retry-After seconds
 
+    def http_reply(self) -> tuple:
+        """Forwarded verbatim by a proxy (the cluster router): status,
+        body and the ``Retry-After`` hint."""
+        body = self.body if isinstance(self.body, dict) \
+            else {"error": self.message}
+        hint = None if self.retry_after is None \
+            else {"Retry-After": f"{self.retry_after:g}"}
+        return self.status, body, hint
+
 
 #: What a kept-alive connection raises when the server has closed it
 #: since its last request: worth one more try on a fresh connection.

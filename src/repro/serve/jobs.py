@@ -51,6 +51,9 @@ _HEAVY_FIELDS = ("config", "report", "events")
 class UnknownJobError(KeyError):
     """No job with that id in this store."""
 
+    def http_reply(self) -> tuple:
+        return 404, {"error": f"unknown job {self.args[0]!r}"}, None
+
 
 class JobState:
     """Lifecycle: submitted → running → succeeded/failed/cancelled."""

@@ -38,7 +38,7 @@ import time
 import traceback
 
 from ..obs.metrics import get_registry
-from ..obs.prof import SamplingProfiler
+from ..obs.prof import Profile, SamplingProfiler
 from ..obs.series import SeriesRecorder
 from ..obs.slo import SloEngine
 from ..obs.trace import (Span, TraceContext, new_span_id, new_trace_id,
@@ -55,6 +55,10 @@ class JobCancelled(Exception):
 
 class ServiceClosed(RuntimeError):
     """The service is draining or shut down and takes no new work."""
+
+    def http_reply(self) -> tuple:
+        # The hint tells retrying clients when to come back.
+        return 503, {"error": str(self)}, {"Retry-After": "1"}
 
 
 def _default_runner(config, workspace, progress_callback=None):
@@ -349,6 +353,18 @@ class ServeService:
             self.coalescer.forget_completed(key, other)
         return self.store.get(job.job_id)
 
+    def submit_run(self, config, priority: int = 0, force: bool = False,
+                   trace: TraceContext | None = None) -> dict:
+        """:meth:`submit` answered as ``POST /v1/runs`` answers it;
+        ``trace`` is the request's parsed ``traceparent``."""
+        job = self.submit(config, priority=priority, force=force,
+                          trace=trace.to_dict() if trace is not None
+                          else None)
+        return {"job_id": job.job_id, "state": job.state,
+                "content_key": job.content_key,
+                "coalesced_with": job.coalesced_with,
+                "priority": job.priority}
+
     # -- cancellation ------------------------------------------------------
     def cancel(self, job_id: str) -> bool:
         """Cancel a job. Queued/parked jobs cancel now; running jobs at
@@ -395,6 +411,12 @@ class ServeService:
                 self._cancel_events.pop(job_id, None)
             return job.state == JobState.CANCELLED
         return True
+
+    def cancel_run(self, job_id: str) -> dict:
+        """:meth:`cancel` answered as ``POST .../cancel`` answers it."""
+        cancelled = self.cancel(job_id)
+        return {"job_id": job_id, "cancelled": cancelled,
+                "state": self.store.get(job_id).state}
 
     def _cancel_event(self, job_id: str) -> threading.Event:
         with self._state_lock:
@@ -606,6 +628,15 @@ class ServeService:
         """Block until the job is terminal; returns the Job."""
         return self.store.wait_for(job_id, timeout)
 
+    def jobs(self) -> dict:
+        return {"jobs": self.store.jobs()}
+
+    def job(self, job_id: str, summary: bool = False) -> dict:
+        """One job's record; ``summary=True`` is the light polling
+        view (no config/report/events payload)."""
+        return (self.store.summary(job_id) if summary
+                else self.store.describe(job_id))
+
     def events(self, job_id: str) -> dict:
         """Progress snapshots for a job — a coalesced job that recorded
         none of its own transparently reports its leader's."""
@@ -620,6 +651,44 @@ class ServeService:
                 pass
         return {"job_id": job_id, "state": job.state,
                 "source": source, "events": events}
+
+    def event_stream(self, job_id: str, heartbeat_s: float = 10.0):
+        """The job's live feed: an ``{"id", "event", "data"}`` item per
+        persisted snapshot (``event`` is its ``kind`` for ``trace`` and
+        ``profile`` snapshots, else ``progress``; ``id`` its index), a
+        ``heartbeat`` item after each ``heartbeat_s`` without one, and
+        a final ``end`` item carrying the terminal state. A coalesced
+        follower streams its leader's snapshots. An unknown job raises
+        here, not on the first item."""
+        job = self.store.get(job_id)
+        source = job.job_id
+        if job.coalesced_with:
+            try:
+                self.store.get(job.coalesced_with)
+                source = job.coalesced_with
+            except UnknownJobError:
+                pass                     # leader gone: own (empty) feed
+        return self._feed(job_id, source, heartbeat_s)
+
+    def _feed(self, job_id: str, source: str, heartbeat_s: float):
+        index = 0
+        while True:
+            # Long-poll: wakes on a fresh snapshot or after heartbeat_s.
+            events, state = self.store.events_since(source, index,
+                                                    timeout=heartbeat_s)
+            for event in events:
+                kind = event.get("kind") \
+                    if event.get("kind") in ("trace", "profile") \
+                    else "progress"
+                yield {"id": index, "event": kind, "data": event}
+                index += 1
+            if state in JobState.TERMINAL:
+                yield {"event": "end",
+                       "data": {"job_id": job_id, "source": source,
+                                "state": state}}
+                return
+            if not events:
+                yield {"event": "heartbeat", "data": None}
 
     def health(self) -> dict:
         counts = self.store.counts()
@@ -646,10 +715,12 @@ class ServeService:
         report["series"] = self.recorder.stats()
         return report
 
-    def profile(self, job_id: str) -> dict:
+    def profile(self, job_id: str, format: str = "json"):
         """A job's persisted execute-stage profile (``None`` when the
         job recorded none — profiling off, or not yet executed). A
-        coalesced job transparently reports its leader's."""
+        coalesced job transparently reports its leader's.
+        ``format="text"`` renders it as flamegraph collapsed stacks
+        (``None`` without one)."""
         job = self.store.get(job_id)
         sources = [job]
         if job.coalesced_with:
@@ -657,19 +728,35 @@ class ServeService:
                 sources.append(self.store.get(job.coalesced_with))
             except UnknownJobError:
                 pass
+        found = {"job_id": job_id, "state": job.state,
+                 "source": job.job_id, "profile": None}
         for source in sources:
-            for event in reversed(list(source.events)):
-                if isinstance(event, dict) \
-                        and event.get("kind") == "profile":
-                    return {"job_id": job_id, "state": job.state,
-                            "source": source.job_id,
-                            "profile": event["profile"]}
-        return {"job_id": job_id, "state": job.state,
-                "source": job.job_id, "profile": None}
+            event = next((e for e in reversed(list(source.events))
+                          if isinstance(e, dict)
+                          and e.get("kind") == "profile"), None)
+            if event is not None:
+                found.update(source=source.job_id,
+                             profile=event["profile"])
+                break
+        if format != "text":
+            return found
+        return (None if found["profile"] is None else
+                Profile.from_dict(found["profile"]).render_collapsed())
 
     def workspace_stats(self) -> dict:
         return {"workspace": self.workspace.stats(),
                 "engines": self.workspace.engine_stats()}
+
+    def metrics_text(self) -> str:
+        """The process registry as Prometheus text 0.0.4."""
+        return get_registry().render_prometheus()
+
+    def metrics_json(self) -> dict:
+        return get_registry().render_json()
+
+    def metrics_window(self, window_s: float) -> dict:
+        """Deltas, rates and quantiles over the recorded window."""
+        return self.recorder.window_report(window_s)
 
     # -- tier-0 predict ----------------------------------------------------
     def predict_service(self):
@@ -688,19 +775,10 @@ class ServeService:
                     self.refresher.service = self._predict
             return self._predict
 
-    def predict(self, payload: dict) -> dict:
-        """One ``/v1/predict`` request: ``{"design", "corner"}``."""
-        from ..predict.service import PredictError
-        if not isinstance(payload, dict):
-            raise PredictError("request body must be a JSON object")
-        return self.predict_service().predict(
-            payload.get("design", ""), payload.get("corner"))
+    def predict(self, design: str, corner) -> dict:
+        """One tier-0 prediction from the served ensemble."""
+        return self.predict_service().predict(design, corner)
 
-    def predict_batch(self, payload: dict) -> dict:
-        """One ``/v1/predict/batch`` request:
-        ``{"design", "corners": [...]}``."""
-        from ..predict.service import PredictError
-        if not isinstance(payload, dict):
-            raise PredictError("request body must be a JSON object")
-        return self.predict_service().predict_batch(
-            payload.get("design", ""), payload.get("corners"))
+    def predict_batch(self, design: str, corners) -> dict:
+        """Many corners in one stacked ensemble forward."""
+        return self.predict_service().predict_batch(design, corners)

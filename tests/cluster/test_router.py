@@ -14,9 +14,8 @@ import urllib.request
 import pytest
 
 from repro.cluster import Router, ShardUnavailable
-from repro.cluster.router_http import ROUTES as ROUTER_ROUTES
 from repro.serve import ServeClient
-from repro.serve.http import ROUTES as SHARD_ROUTES
+from repro.serve.http import ROUTER, SHARD, TABLE, routes
 from repro.serve.jobs import UnknownJobError
 from tests.serve.conftest import make_config, post_with_content_length
 
@@ -382,10 +381,10 @@ class TestRouterHttpHardening:
 
 class TestApiParity:
     """The acceptance criterion: the router exposes the same surface as
-    a shard, verified by diffing the two route tables."""
+    a shard; the one route table marks only the membership swap."""
 
     def test_route_table_diff_is_exactly_the_membership_swap(self):
-        shard, cluster_routes = set(SHARD_ROUTES), set(ROUTER_ROUTES)
+        shard, cluster_routes = set(routes(SHARD)), set(routes(ROUTER))
         assert shard - cluster_routes == {
             ("POST", "/v1/cluster/peers")}
         assert cluster_routes - shard == {
@@ -393,11 +392,12 @@ class TestApiParity:
 
     def test_every_client_facing_shard_route_exists_on_the_router(
             self):
-        shard_public = {r for r in SHARD_ROUTES
-                        if r != ("POST", "/v1/cluster/peers")}
-        assert shard_public <= set(ROUTER_ROUTES)
+        assert {r for r in routes(SHARD)
+                if r != ("POST", "/v1/cluster/peers")} \
+            <= set(routes(ROUTER))
 
     def test_tables_are_well_formed(self):
-        for method, path in (*SHARD_ROUTES, *ROUTER_ROUTES):
+        for method, path, _, role in TABLE:
             assert method in ("GET", "POST")
             assert path.startswith("/")
+            assert role in (None, SHARD, ROUTER)
