@@ -56,11 +56,10 @@ def main():
         model=ModelConfig(epochs=8 if SMOKE else 25),
         # One engine for the whole campaign: the design space is
         # prefetched up-front (parallel across CPUs when the machine has
-        # them, batched through the GNN otherwise), and the workspace's
-        # persistent cache means the *next* campaign starts warm.
+        # them), and the workspace's persistent cache means the *next*
+        # campaign starts warm.
         engine=EngineConfig(
-            backend=f"process:{workers}" if workers > 1 else "serial",
-            batch_characterization=True),
+            backend=f"process:{workers}" if workers > 1 else "serial"),
         search=SearchConfig(vdd_scales=(0.9, 1.0, 1.1),
                             vth_shifts=(-0.05, 0.05),
                             cox_scales=(0.9, 1.1)),

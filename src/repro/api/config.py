@@ -206,10 +206,24 @@ class EngineConfig(_Config):
     backend: str = "serial"
     cache_capacity: int = 512
     cache_results: bool = True
-    batch_characterization: bool = False
-    max_graphs_per_batch: int = 1024
     cache_max_bytes: int = 0          # 0 = unbounded
     persist: bool = True
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EngineConfig":
+        # Stored schema-1 documents (job records, reports) still carry
+        # the removed batched-characterization keys: drop them, unless
+        # a document asks for the feature that no longer exists.
+        if isinstance(data, dict):
+            if data.get("batch_characterization"):
+                raise ConfigError(
+                    "engine.batch_characterization was removed: the "
+                    "per-corner GNN path is as fast and bit-identical; "
+                    "drop the key or set it to false")
+            data = {k: v for k, v in data.items()
+                    if k not in ("batch_characterization",
+                                 "max_graphs_per_batch")}
+        return super().from_dict(data)
 
     def __post_init__(self):
         _require(self.cache_capacity >= 0,
@@ -227,8 +241,6 @@ class EngineConfig(_Config):
                                          and cache_dir is not None)
             else None,
             cache_results=self.cache_results,
-            batch_characterization=self.batch_characterization,
-            max_graphs_per_batch=self.max_graphs_per_batch,
             cache_max_bytes=self.cache_max_bytes or None)
 
 

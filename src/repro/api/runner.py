@@ -333,9 +333,9 @@ def run_campaign(engine, scenarios, space, checkpoint=None,
         ``False`` ignores any existing checkpoint.
     prefetch:
         Characterize the whole space up front through the engine's
-        backend/batcher before any agent runs. Agents request corners
-        one at a time, so this is what lets a parallel or batched
-        engine amortize characterization across a campaign.
+        backend before any agent runs. Agents request corners one at
+        a time, so this is what lets a parallel engine amortize
+        characterization across a campaign.
     """
     from ..utils.io import atomic_write_json
     path = Path(checkpoint) if checkpoint is not None else None

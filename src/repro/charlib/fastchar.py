@@ -5,19 +5,15 @@ the EDA flow is agnostic to how the library was characterized — exactly
 the property the paper's framework exploits: swap the ~1900 s commercial
 characterization for an 8.88 s GNN inference pass.
 
-The GNN builder is factored into three stages so the evaluation engine
-can batch across cells *and* corners:
+The GNN builder is factored into three stages:
 
 * :meth:`GNNLibraryBuilder.plan_cell` — encode every graph one cell needs
   at one corner (the timing grid, per-pin capacitance probes, the power
   base point, the sequential constraint point);
-* :meth:`GNNLibraryBuilder.cell_predictions` — run the per-cell forward
-  passes (the serial path, bit-identical to the historical behavior);
+* :meth:`GNNLibraryBuilder.cell_predictions` — run the GCN trunk once
+  per graph group and every metric head that reads the group;
 * :meth:`GNNLibraryBuilder.assemble_cell` — turn predictions into a
   :class:`~repro.charlib.liberty.LibCell`.
-
-:mod:`repro.engine.batching` replaces stage two with concatenated
-forward passes over many cells/corners at once.
 
 Both builders also expose :meth:`fingerprint`, a stable content hash of
 everything that influences their output (technology, cell list, config,
@@ -160,14 +156,15 @@ class CellPlan:
     seq_graphs: list              # single seq point ([] for comb cells)
 
     def slots(self, metrics):
-        """Yield ``(slot, metric, graphs)`` for metrics the model has."""
+        """Yield ``(slot, metric, group)`` for metrics the model has,
+        ``group`` naming the graph list attribute the slot reads."""
         for slot, metric, group in _COMB_SLOTS:
             if metric in metrics:
-                yield slot, metric, getattr(self, group)
+                yield slot, metric, group
         if self.cell.is_sequential:
             for slot, metric, group in _SEQ_SLOTS:
                 if metric in metrics:
-                    yield slot, metric, getattr(self, group)
+                    yield slot, metric, group
 
 
 class GNNLibraryBuilder:
@@ -211,10 +208,6 @@ class GNNLibraryBuilder:
     def metrics_present(self) -> set:
         return set(self.dataset.metrics_present())
 
-    def _predict(self, graphs, metric: str) -> np.ndarray:
-        norm = self.dataset.normalizers[metric]
-        return norm.denormalize(self.model.predict(graphs, metric))
-
     # -- plan / predict / assemble stages ---------------------------------
     def plan_cell(self, name: str, cornered) -> CellPlan:
         """Encode all graphs cell ``name`` needs at one cornered tech."""
@@ -245,9 +238,21 @@ class GNNLibraryBuilder:
                         base_graphs=base_graphs, seq_graphs=seq_graphs)
 
     def cell_predictions(self, plan: CellPlan, metrics) -> dict:
-        """Serial per-cell forward passes: ``slot -> physical values``."""
-        return {slot: self._predict(graphs, metric)
-                for slot, metric, graphs in plan.slots(metrics)}
+        """``slot -> physical values`` for one plan.
+
+        The trunk runs once per graph group (the delay/slew grid, the
+        power base point, the sequential point) and every metric head
+        reads it. Each group is still its own batch, so the values are
+        the bits of one :meth:`CellCharGCN.predict` per metric.
+        """
+        trunks, preds = {}, {}
+        for slot, metric, group in plan.slots(metrics):
+            if group not in trunks:
+                trunks[group] = self.model.embed_graphs(getattr(plan, group))
+            norm = self.dataset.normalizers[metric]
+            preds[slot] = norm.denormalize(
+                self.model.head(trunks[group], metric))
+        return preds
 
     def assemble_cell(self, plan: CellPlan, preds: dict,
                       cornered) -> LibCell:
@@ -300,14 +305,8 @@ class GNNLibraryBuilder:
         return lib
 
     def build_many(self, corners) -> list:
-        """Batched characterization of many corners at once.
-
-        Delegates to :class:`repro.engine.batching.BatchedGNNCharacterizer`
-        — graphs from every (cell, corner) pair are packed into one
-        forward pass per metric instead of per-cell calls.
-        """
-        from ..engine.batching import BatchedGNNCharacterizer
-        return BatchedGNNCharacterizer(self).build_many(corners)
+        """One :meth:`build` per corner, in order."""
+        return [self.build(corner) for corner in corners]
 
     # -- surrogate ranking hook --------------------------------------------
     def proxy_scores(self, corners, weights=None,

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..encoding.cell_encoding import NUM_CELL_FEATURES
-from ..nn import (Adam, GCNConv, Linear, MLP, Module, Tensor, batch_graphs,
-                  clip_grad_norm, mape, mse_loss, no_grad)
-from ..nn.functional import concat
-from ..nn.gnn import global_max_pool, global_mean_pool
+from ..nn import (Adam, GCNConv, Linear, MLP, Module, ModuleList, Tensor,
+                  batch_graphs, clip_grad_norm, mape, mse_loss)
+from ..nn.functional import concat, segment_bins, segment_sum_np
+from ..nn.gnn import (gcn_norm, global_max_pool, global_mean_pool,
+                      max_pool_mask)
 from .dataset import CharDataset, METRICS
 
 __all__ = ["CellCharGCNConfig", "CellCharGCN", "CharTrainConfig",
@@ -44,7 +45,6 @@ class CellCharGCN(Module):
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         self.embed = Linear(cfg.in_features, cfg.hidden, rng=rng)
-        from ..nn import ModuleList
         self.convs = ModuleList([
             GCNConv(cfg.hidden, cfg.hidden, rng=rng)
             for _ in range(cfg.num_layers)])
@@ -67,14 +67,58 @@ class CellCharGCN(Module):
             raise KeyError(f"no head for metric {metric!r}")
         return self.heads[metric](self.trunk(batch))
 
-    def predict(self, graphs, metric: str) -> np.ndarray:
-        """Normalised predictions (inference mode)."""
+    # -- inference: plain arrays, off the autograd graph -------------------
+    def embed_graphs(self, graphs) -> np.ndarray:
+        """The metric-independent trunk over ``graphs``, shape
+        ``(len(graphs), 2 * hidden)``.
+
+        The operations of :meth:`trunk` in the same order on plain
+        arrays, so the output is the same bits; it never builds a
+        :class:`Tensor`, reads the grad mode or touches ``training``.
+        """
         batch = batch_graphs(list(graphs))
-        self.eval()
-        with no_grad():
-            out = self.forward_metric(batch, metric).data
-        self.train()
-        return out[:, 0]
+        n, g, width = batch.num_nodes, batch.num_graphs, self.config.hidden
+        # Self loops, normalisation and scatter bins depend only on graph
+        # structure: once per batch, not once per layer.
+        src, dst, norm = gcn_norm(batch.edge_index, n)
+        edge_bins = segment_bins(dst, width)
+        node_bins = segment_bins(batch.batch, width)
+        h = _relu(_linear(self.embed, batch.x))
+        for conv in self.convs:
+            messages = _linear(conv.lin, h)[src] * norm
+            h = _relu(segment_sum_np(messages, edge_bins, n))
+        counts = np.bincount(batch.batch, minlength=g).astype(np.float64)
+        counts = np.maximum(counts, 1.0)
+        mean = (segment_sum_np(h, node_bins, g)
+                * (1.0 / counts.reshape(g, 1)))
+        mx = segment_sum_np(h * max_pool_mask(h, batch.batch, g),
+                            node_bins, g)
+        return np.concatenate([mean, mx], axis=1)
+
+    def head(self, z: np.ndarray, metric: str) -> np.ndarray:
+        """Normalised predictions of ``metric``'s MLP head on trunk
+        output ``z`` (from :meth:`embed_graphs`), shape ``(B,)``."""
+        if metric not in self.heads:
+            raise KeyError(f"no head for metric {metric!r}")
+        for layer in self.heads[metric].net:
+            # A head is Linear, relu, Linear (see __init__).
+            z = _linear(layer, z) if isinstance(layer, Linear) else _relu(z)
+        return z[:, 0]
+
+    def predict(self, graphs, metric: str) -> np.ndarray:
+        """Normalised predictions of one metric for ``graphs``."""
+        return self.head(self.embed_graphs(graphs), metric)
+
+
+def _linear(layer: Linear, x: np.ndarray) -> np.ndarray:
+    out = x @ layer.weight.data
+    if layer.bias is not None:
+        out = out + layer.bias.data
+    return out
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return x * (x > 0)
 
 
 @dataclass

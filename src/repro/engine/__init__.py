@@ -7,10 +7,8 @@ The subsystem that turns corner evaluation into a first-class service:
 * :mod:`~repro.engine.cache` — in-memory LRU + optional on-disk tier;
 * :mod:`~repro.engine.executor` — serial / thread / process backends
   with deterministic result ordering;
-* :mod:`~repro.engine.batching` — packed GNN characterization across
-  cells and corners;
 * :mod:`~repro.engine.engine` — the :class:`EvaluationEngine` funnel
-  (result cache → library cache → batcher → executor).
+  (result cache → library cache → implementation slot → executor).
 
 Campaign sweeps over one shared engine are
 :func:`repro.api.run_campaign` (``mode="campaign"`` of
@@ -23,7 +21,6 @@ from .hashing import (canonicalize, stable_hash, array_digest,
 from .cache import CacheStats, LRUCache, DiskCache, EvaluationCache
 from .executor import (SerialBackend, ThreadPoolBackend, ProcessPoolBackend,
                        get_backend, available_workers)
-from .batching import BatchedGNNCharacterizer
 from .engine import EngineConfig, EvaluationEngine
 
 __all__ = [
@@ -33,6 +30,5 @@ __all__ = [
     "CacheStats", "LRUCache", "DiskCache", "EvaluationCache",
     "SerialBackend", "ThreadPoolBackend", "ProcessPoolBackend",
     "get_backend", "available_workers",
-    "BatchedGNNCharacterizer",
     "EngineConfig", "EvaluationEngine",
 ]

@@ -1,4 +1,4 @@
-"""The evaluation engine: cache → batcher → executor, one front door.
+"""The evaluation engine: cache → executor, one front door.
 
 :class:`EvaluationEngine` turns corner evaluation into a schedulable,
 cacheable service. Every request flows through the same funnel:
@@ -7,8 +7,8 @@ cacheable service. Every request flows through the same funnel:
    evaluated? Return the record (memory hit, or promoted from disk).
 2. **library cache** — corner already characterized for this builder?
    Reuse the library, skip characterization entirely.
-3. **batcher** — remaining GNN characterizations are packed into large
-   forward passes (opt-in, see :mod:`repro.engine.batching`).
+3. **characterization** — remaining corners get their library built,
+   one ``builder.build`` per corner (in the workers of a process pool).
 4. **implementation slot** — the design's library-independent flow
    stages (:func:`repro.eda.flow.implement`) run once and are kept for
    the next corners of the same design; a new design replaces them.
@@ -16,9 +16,9 @@ cacheable service. Every request flows through the same funnel:
    over the configured backend (serial / thread / process pool) with
    input-order results.
 
-The default configuration (serial backend, per-cell characterization,
-in-memory cache) reproduces the historical serial path bit-for-bit;
-parallelism, batching and disk persistence are opt-in knobs.
+The default configuration (serial backend, in-memory cache) reproduces
+the historical serial path bit-for-bit; parallelism and disk
+persistence are opt-in knobs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..eda.flow import evaluate_system, implement
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from ..utils.timing import TimingRecord
-from .batching import BatchedGNNCharacterizer
 from .cache import EvaluationCache
 from .executor import ProcessPoolBackend, SerialBackend, get_backend
 from .hashing import EvalKey, netlist_fingerprint, stable_hash
@@ -50,8 +49,6 @@ class EngineConfig:
     cache_capacity: int = 512           # in-memory LRU entries per tier
     cache_dir: object = None            # persistence root (str/Path/None)
     cache_results: bool = True          # cache full evaluation records
-    batch_characterization: bool = False
-    max_graphs_per_batch: int = 1024
     cache_max_bytes: int | None = None  # per disk tier; None = unbounded
 
 
@@ -287,14 +284,6 @@ class EvaluationEngine:
         with self._counter_lock:
             self.characterizations += len(corners)
         self._m_characterizations.inc(len(corners))
-        if (self.config.batch_characterization
-                and hasattr(self.builder, "plan_cell")
-                and len(corners) > 1):
-            batcher = BatchedGNNCharacterizer(
-                self.builder, self.config.max_graphs_per_batch)
-            libs = batcher.build_many(corners)
-            per = batcher.last_runtime_s / max(len(corners), 1)
-            return libs, [per] * len(corners)
         if isinstance(self.backend, ProcessPoolBackend) and len(corners) > 1:
             results = self.backend.map(
                 _build_library_task,
@@ -353,25 +342,18 @@ class EvaluationEngine:
         return out
 
     def _evaluate_missing(self, netlist, corners, weights, missing, out):
-        batching = (self.config.batch_characterization
-                    and hasattr(self.builder, "plan_cell"))
-        full_fanout = (isinstance(self.backend, ProcessPoolBackend)
-                       and not batching)
         miss_corners = [corners[i] for i in missing]
         # Implemented here, before any fan-out: workers only read it, and
         # the first corner's evaluation reports the stage seconds.
         impl = self.implementation(netlist)
         impls = [impl] + [impl.reused()] * (len(missing) - 1)
-        if not full_fanout:
-            # Characterize first (batched when enabled), then flow each.
+        if not isinstance(self.backend, ProcessPoolBackend):
+            # Characterize first, then flow each.
             # Serial: identical call structure to the historical loop.
-            # Threads: builds stay in this thread — the GNN inference
-            # path toggles process-global autograd state and per-builder
-            # timing, neither thread-safe — and only the independent,
-            # read-only system flows fan out over the pool. A process
-            # pool with batching enabled also lands here: the packed
-            # forward passes happen once in this process, and only the
-            # flows fan out (shipping libraries, not the builder).
+            # Threads: builds stay in this thread — a builder's
+            # ``last_runtime_s`` is per-builder state, not thread-safe —
+            # and only the independent, read-only system flows fan out
+            # over the pool.
             libs, lib_times = self._libraries_with_times(miss_corners)
             payloads = [(None, lib, netlist, im, corner, weights)
                         for lib, im, corner in zip(libs, impls,

@@ -1,6 +1,6 @@
 """Evaluation-outcome types shared by the engine and the STCO layer.
 
-They live here so the evaluation engine (cache, executor, batching) can
+They live here so the evaluation engine (cache, executor) can
 produce and consume them without depending on the search layer.
 :mod:`repro.stco` re-exports both names.
 """

@@ -7,6 +7,8 @@ passing layers are assembled from.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor, as_tensor
@@ -14,7 +16,8 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "relu", "leaky_relu", "elu", "tanh", "sigmoid", "gelu", "softplus",
     "identity", "softmax", "log_softmax", "concat", "stack", "dropout",
-    "gather_rows", "scatter_sum", "scatter_mean", "segment_max_np",
+    "gather_rows", "scatter_sum", "segment_bins", "segment_sum_np",
+    "scatter_mean", "segment_max_np",
     "segment_softmax", "get_activation",
 ]
 
@@ -143,20 +146,36 @@ def scatter_sum(src: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     """
     src = as_tensor(src)
     index = np.asarray(index, dtype=np.intp)
-    out_shape = (num_segments,) + src.shape[1:]
-    # One bincount over (segment, feature) bins. Each bin adds its rows
-    # in row order from 0.0, as ``np.add.at`` does, so the sums are the
-    # same bits at a fraction of the cost.
-    width = int(np.prod(src.shape[1:], dtype=np.intp))
-    flat = (index[:, None] * width + np.arange(width)).ravel()
-    out_data = np.bincount(flat, weights=src.data.reshape(-1),
-                           minlength=num_segments * width).reshape(out_shape)
+    width = math.prod(src.shape[1:])
+    out_data = segment_sum_np(src.data, segment_bins(index, width),
+                              num_segments)
 
     def backward(grad):
         if src.requires_grad:
             src._accumulate(grad[index])
 
     return Tensor._make(out_data, (src,), backward)
+
+
+def segment_bins(index: np.ndarray, width: int) -> np.ndarray:
+    """Flat ``(segment, feature)`` bin of every element of a row-major
+    ``(len(index), width)`` array, for :func:`segment_sum_np`."""
+    return (np.asarray(index, dtype=np.intp)[:, None] * width
+            + np.arange(width)).ravel()
+
+
+def segment_sum_np(values: np.ndarray, bins: np.ndarray,
+                   num_segments: int) -> np.ndarray:
+    """Plain-array :func:`scatter_sum` over precomputed
+    :func:`segment_bins`.
+
+    One bincount over (segment, feature) bins. Each bin adds its rows in
+    row order from 0.0, as ``np.add.at`` does, so the sums are the same
+    bits at a fraction of the cost.
+    """
+    out_shape = (num_segments,) + values.shape[1:]
+    return np.bincount(bins, weights=values.reshape(-1),
+                       minlength=math.prod(out_shape)).reshape(out_shape)
 
 
 def scatter_mean(src: Tensor, index: np.ndarray, num_segments: int) -> Tensor:

@@ -16,8 +16,8 @@ from .graph import add_self_loops
 from .layers import Linear, Module
 from .tensor import Tensor
 
-__all__ = ["GCNConv", "RelGATConv", "global_mean_pool", "global_sum_pool",
-           "global_max_pool"]
+__all__ = ["GCNConv", "RelGATConv", "gcn_norm", "global_mean_pool",
+           "global_sum_pool", "global_max_pool", "max_pool_mask"]
 
 
 class GCNConv(Module):
@@ -37,15 +37,26 @@ class GCNConv(Module):
     def forward(self, x: Tensor, edge_index: np.ndarray,
                 num_nodes: int | None = None) -> Tensor:
         n = num_nodes if num_nodes is not None else x.shape[0]
-        ei, _ = add_self_loops(edge_index, n)
-        src, dst = ei[0], ei[1]
-        deg = np.bincount(dst, minlength=n).astype(np.float64)
-        deg_src = np.bincount(src, minlength=n).astype(np.float64)
-        norm = 1.0 / np.sqrt(np.maximum(deg_src[src], 1.0) *
-                             np.maximum(deg[dst], 1.0))
+        src, dst, norm = gcn_norm(edge_index, n)
         h = self.lin(x)
-        messages = h.gather_rows(src) * Tensor(norm[:, None])
+        messages = h.gather_rows(src) * Tensor(norm)
         return F.scatter_sum(messages, dst, n)
+
+
+def gcn_norm(edge_index: np.ndarray, num_nodes: int):
+    """``(src, dst, norm)`` of the self-looped edges, ``norm`` the
+    ``(E, 1)`` symmetric ``D^-1/2 (A + I) D^-1/2`` edge weights.
+
+    Depends only on graph structure, so one batch can share it across
+    every :class:`GCNConv` layer.
+    """
+    ei, _ = add_self_loops(edge_index, num_nodes)
+    src, dst = ei[0], ei[1]
+    deg = np.bincount(dst, minlength=num_nodes).astype(np.float64)
+    deg_src = np.bincount(src, minlength=num_nodes).astype(np.float64)
+    norm = 1.0 / np.sqrt(np.maximum(deg_src[src], 1.0) *
+                         np.maximum(deg[dst], 1.0))
+    return src, dst, norm[:, None]
 
 
 class RelGATConv(Module):
@@ -180,7 +191,14 @@ def global_sum_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
 
 def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     """Per-graph feature-wise max pooling (gradient flows to the argmax)."""
-    data = x.data
+    masked = x * Tensor(max_pool_mask(x.data, batch, num_graphs))
+    return F.scatter_sum(masked, batch, num_graphs)
+
+
+def max_pool_mask(data: np.ndarray, batch: np.ndarray,
+                  num_graphs: int) -> np.ndarray:
+    """Weights that select each graph's feature-wise max node value;
+    summing ``data * mask`` per graph is :func:`global_max_pool`."""
     out = np.full((num_graphs,) + data.shape[1:], -np.inf)
     np.maximum.at(out, batch, data)
     # Build a selection mask: 1 where the node value equals its graph max.
@@ -189,5 +207,4 @@ def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
     denom = np.zeros_like(out)
     np.add.at(denom, batch, mask)
     mask /= np.maximum(denom[batch], 1.0)
-    masked = x * Tensor(mask)
-    return F.scatter_sum(masked, batch, num_graphs)
+    return mask

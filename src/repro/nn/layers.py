@@ -50,8 +50,6 @@ class Module:
     def modules(self):
         """Yield this module and all descendant modules."""
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()

@@ -6,7 +6,7 @@ Two dependency-free primitives, threaded through every layer:
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
   histograms (thread-safe, labeled, snapshot/delta semantics) with
   Prometheus-text and JSON exposition. The engine's cache hits,
-  the batcher's occupancy, the serve queue depth and the coalescer's
+  its characterizations, the serve queue depth and the coalescer's
   leader/follower/duplicate counts all land here, and the serve layer
   exports it live at ``GET /v1/metrics``.
 * :mod:`~repro.obs.trace` — lightweight span trees

@@ -1,8 +1,8 @@
 """SearchRun: one optimizer, one engine, one design — fully instrumented.
 
 The driver owns the ask → evaluate → tell loop. It routes every candidate
-through an :class:`~repro.engine.engine.EvaluationEngine` (so caching,
-batching and parallel backends apply untouched), deduplicates repeat
+through an :class:`~repro.engine.engine.EvaluationEngine` (so caching
+and parallel backends apply untouched), deduplicates repeat
 requests within the run, feeds every record into a
 :class:`~repro.search.pareto.ParetoArchive`, and measures what the
 subsystem is ultimately judged on: **evaluations-to-optimum** — how many

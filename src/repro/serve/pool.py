@@ -14,11 +14,15 @@ call into a multi-tenant service. One :class:`ServeService` composes
 * N worker threads claiming jobs and running them through
   :func:`repro.api.runner.run`.
 
-Engine executions serialize on one process-wide lock: the GNN inference
-path toggles process-global autograd state
-(:data:`repro.nn.tensor._GRAD_ENABLED`), which is not thread-safe, and
-this container's parallelism lives *inside* the engine (its executor
-backends) anyway. The service's concurrency win comes from admission
+Engine executions serialize on one process-wide lock. GNN inference
+does not need it (it runs on plain arrays); three things do:
+GNN training, which reads the process-global autograd mode
+(:data:`repro.nn.tensor._GRAD_ENABLED`); the surrogate ensemble's
+``no_grad`` forward
+(:meth:`repro.surrogate.models.EnsemblePPAModel.predict_members`),
+which flips it; and the workspace's artifact builds, which are not
+synchronised (two jobs could build the same dataset or train the same
+model twice). The service's concurrency win comes from admission
 (submissions never block on running work), coalescing, and the shared
 warm caches — the per-job ``ledger`` records queue wait, lock wait and
 execution seconds separately so that split stays observable.

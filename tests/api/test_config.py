@@ -98,6 +98,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cache_max_bytes"):
             EngineConfig(cache_max_bytes=-1)
 
+    def test_removed_batching_keys_dropped_from_stored_documents(self):
+        """Schema-1 job records and reports carry the removed
+        batched-characterization knobs at their off defaults."""
+        stored = StcoConfig().to_dict()
+        stored["engine"].update(batch_characterization=False,
+                                max_graphs_per_batch=1024)
+        assert StcoConfig.from_dict(stored) == StcoConfig()
+        assert EngineConfig.from_dict(
+            {"backend": "thread", "max_graphs_per_batch": 64}
+        ) == EngineConfig(backend="thread")
+
+    def test_removed_batching_requested_raises(self):
+        stored = StcoConfig().to_dict()
+        stored["engine"]["batch_characterization"] = True
+        with pytest.raises(ConfigError,
+                           match="batch_characterization was removed"):
+            StcoConfig.from_dict(stored)
+
 
 class TestMapping:
     def test_char_config(self):

@@ -16,18 +16,7 @@ from repro.charlib import (CellCharGCN, CellCharGCNConfig, CharConfig,
                            MetricNormalizer)
 from repro.encoding.cell_encoding import CellGraphEncoder, NUM_CELL_FEATURES
 
-FAST_CFG = CharConfig(slews=(8e-9,), loads=(15e-15,), n_bisect=3,
-                      max_steps=220)
-
-
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("charcache")
-    return build_char_dataset(
-        "ltps", cells=("INV_X1", "NAND2_X1", "DFF_X1"),
-        train_corners=[Corner(1.0, 0.0, 1.0), Corner(0.9, 0.05, 1.1)],
-        test_corners=[Corner(1.05, -0.02, 0.95)],
-        config=FAST_CFG, cache_dir=cache)
+from .conftest import FAST_CFG
 
 
 class TestCorners:

@@ -73,11 +73,10 @@ class TestCampaignRun:
         plain = campaign(builder, scenarios, small_space)
         prefetched = campaign(
             builder, scenarios, small_space,
-            engine=EvaluationEngine(
-                builder, EngineConfig(batch_characterization=True)),
+            engine=EvaluationEngine(builder, EngineConfig()),
             prefetch=True)
-        # Prefetch characterizes every space point (batched), then the
-        # agents run entirely against the warm library cache.
+        # Prefetch characterizes every space point, then the agents run
+        # entirely against the warm library cache.
         assert characterizations(prefetched) == small_space.size
         for a, b in zip(plain.scenarios, prefetched.scenarios):
             assert a["best_corner"] == b["best_corner"]

@@ -1,6 +1,7 @@
 """EvaluationEngine semantics: seed equivalence, caching, parallelism."""
 
 import gc
+import pickle
 import time
 import weakref
 
@@ -138,33 +139,30 @@ class TestBackends:
         assert [r.reward for r in records] == [
             r.reward for r in reference]
 
-    def test_batched_matches_serial(self, builder, netlist, corners):
-        serial = EvaluationEngine(builder, EngineConfig())
-        reference = serial.evaluate_many(netlist, corners)
-        batched = EvaluationEngine(
-            builder, EngineConfig(batch_characterization=True))
-        records = batched.evaluate_many(netlist, corners)
-        np.testing.assert_allclose([r.reward for r in records],
-                                   [r.reward for r in reference],
-                                   rtol=1e-9)
-        assert ([r.corner.key() for r in records]
-                == [r.corner.key() for r in reference])
+    def test_engine_libraries_match_builder(self, builder, netlist,
+                                            corners):
+        """The engine characterizes with one ``builder.build`` per
+        corner: its libraries pickle byte-equal to direct builds."""
+        engine = EvaluationEngine(builder, EngineConfig())
+        engine.evaluate_many(netlist, corners)
+        assert engine.characterizations == len(corners)
+        for corner, lib in zip(corners, engine.libraries(corners)):
+            assert pickle.dumps(lib) == pickle.dumps(builder.build(corner))
 
-    def test_process_backend_honors_batching(self, builder, netlist,
-                                             corners):
-        """process + batch_characterization: packed forward passes run
-        in this process, only the flows fan out."""
+    def test_process_backend_characterizes_in_workers(self, builder,
+                                                      netlist, corners):
+        """process:N fans characterization and flow out together; the
+        rewards are the serial ones exactly."""
         serial = EvaluationEngine(builder, EngineConfig())
         reference = serial.evaluate_many(netlist, corners)
-        config = EngineConfig(backend="process:2",
-                              batch_characterization=True)
-        with EvaluationEngine(builder, config) as engine:
+        with EvaluationEngine(
+                builder, EngineConfig(backend="process:2")) as engine:
             records = engine.evaluate_many(netlist, corners)
-            assert "characterization" in engine.timing.totals
+            assert "parallel_evaluate" in engine.timing.totals
+            assert "characterization" not in engine.timing.totals
             assert engine.characterizations == len(corners)
-        np.testing.assert_allclose([r.reward for r in records],
-                                   [r.reward for r in reference],
-                                   rtol=1e-9)
+        assert [r.reward for r in records] == [
+            r.reward for r in reference]
 
 
 def _ppa_fields(record):
@@ -311,24 +309,25 @@ class TestFastSTCOEquivalence:
     def test_engine_backends_agree_on_best_corner(self, builder,
                                                   small_space):
         """The fast STCO loop through the default serial engine and
-        through a batched engine must find the identical best corner
-        and rewards."""
+        through a thread-pool engine must find the identical best
+        corner and rewards."""
         from repro.api import execute_search
         from repro.eda import build_benchmark
         from repro.search.optimizers import make_optimizer
         runs = {}
         for label, config in {
             "serial": EngineConfig(),
-            "batched": EngineConfig(batch_characterization=True),
+            "threaded": EngineConfig(backend="thread:2"),
         }.items():
-            runs[label] = execute_search(
-                build_benchmark("s298"),
-                make_optimizer("qlearning", small_space, seed=7),
-                EvaluationEngine(builder, config), PPAWeights(), 6).result
+            with EvaluationEngine(builder, config) as engine:
+                runs[label] = execute_search(
+                    build_benchmark("s298"),
+                    make_optimizer("qlearning", small_space, seed=7),
+                    engine, PPAWeights(), 6).result
         assert (runs["serial"].best_corner
-                == runs["batched"].best_corner)
-        np.testing.assert_allclose(runs["serial"].rewards,
-                                   runs["batched"].rewards, rtol=1e-9)
+                == runs["threaded"].best_corner)
+        np.testing.assert_array_equal(runs["serial"].rewards,
+                                      runs["threaded"].rewards)
         assert runs["serial"].characterizations >= 1
 
 
