@@ -57,6 +57,12 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="print only the report path")
 
 
+def _http_url(text: str) -> str:
+    if text.startswith("http://"):       # the client's only scheme
+        return text
+    raise argparse.ArgumentTypeError(f"{text!r} is not an http:// URL")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -159,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cstatus_p = cluster_sub.add_parser(
         "status", help="show a router's topology and shard health")
     cstatus_p.add_argument("--url", default="http://127.0.0.1:8765",
-                           help="router base URL")
+                           type=_http_url, help="router base URL")
     cstatus_p.add_argument("--json", action="store_true",
                            help="print the raw health + topology JSON")
 
@@ -167,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a config document to a running server")
     submit_p.add_argument("config", help="path to an StcoConfig JSON file")
     submit_p.add_argument("--url", default="http://127.0.0.1:8765",
-                          help="server base URL")
+                          type=_http_url, help="server base URL")
     submit_p.add_argument("--priority", type=int, default=0,
                           help="queue priority (higher runs first)")
     submit_p.add_argument("--force", action="store_true",
@@ -188,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics_p = sub.add_parser(
         "metrics", help="scrape a running server's /v1/metrics")
     metrics_p.add_argument("--url", default="http://127.0.0.1:8765",
-                           help="server base URL")
+                           type=_http_url, help="server base URL")
     metrics_p.add_argument("--format", choices=("text", "json"),
                            default="text",
                            help="Prometheus text (default) or JSON")
@@ -209,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     slo_p = sub.add_parser(
         "slo", help="evaluate a running server's SLO rules")
     slo_p.add_argument("--url", default="http://127.0.0.1:8765",
-                       help="server base URL")
+                       type=_http_url, help="server base URL")
     slo_p.add_argument("--json", action="store_true",
                        help="print the raw SLO report JSON")
 
@@ -217,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="render a finished job's span tree")
     trace_p.add_argument("job_id", help="serve job id")
     trace_p.add_argument("--url", default="http://127.0.0.1:8765",
-                         help="server base URL")
+                         type=_http_url, help="server base URL")
     trace_p.add_argument("--json", action="store_true",
                          help="print the raw span tree JSON")
 
@@ -226,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "as flamegraph collapsed-stack text")
     profile_p.add_argument("job_id", help="serve job id")
     profile_p.add_argument("--url", default="http://127.0.0.1:8765",
-                           help="server base URL")
+                           type=_http_url, help="server base URL")
     profile_p.add_argument("--json", action="store_true",
                            help="print the raw profile JSON")
 
@@ -279,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="design corner as three comma-"
                                 "separated numbers; repeat for a "
                                 "batched query")
-    predict_p.add_argument("--url", default=None,
+    predict_p.add_argument("--url", default=None, type=_http_url,
                            help="query a running server / cluster "
                                 "router instead of a local workspace")
     predict_p.add_argument("--workspace", metavar="DIR", default=None,
@@ -488,24 +494,17 @@ def _cmd_cluster_join(args) -> int:
 
 
 def _cmd_cluster_status(args) -> int:
-    import urllib.error
-
     from ..serve import ServeClient, ServeClientError
     from ..utils.tables import print_table
-    client = ServeClient(args.url)
     try:
-        health = client.health()
-        topology = client._request("GET", "/v1/cluster")
+        with ServeClient(args.url) as client:
+            health = client.health()
+            topology = client._request("GET", "/v1/cluster")
     except ServeClientError as exc:
-        if exc.status == 404:
-            print(f"error: {args.url} is not a cluster router "
-                  f"(no /v1/cluster endpoint)", file=sys.stderr)
-            return 2
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except urllib.error.URLError as exc:
-        print(f"error: cannot reach {args.url}: {exc.reason}",
-              file=sys.stderr)
+        if exc.status != 404:
+            raise
+        print(f"error: {args.url} is not a cluster router "
+              f"(no /v1/cluster endpoint)", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps({"health": health, "cluster": topology},
@@ -534,14 +533,12 @@ def _cmd_cluster_status(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    import urllib.error
-
-    from ..serve import ServeClient, ServeClientError
-    client = ServeClient(args.url)
+    from ..serve import ServeClient
+    from ..serve.client import WaitTimeout
     # Same coercion as `repro run`: a missing/corrupt file is a clean
     # ConfigError (exit 2 via main), never a traceback.
     document = _load_document(args.config)
-    try:
+    with ServeClient(args.url) as client:
         submitted = client.submit(document, priority=args.priority,
                                   force=args.force)
         job_id = submitted["job_id"]
@@ -566,17 +563,11 @@ def _cmd_submit(args) -> int:
                 elif kind == "end" and isinstance(data, dict):
                     print(f"job {data.get('job_id', job_id)} "
                           f"{data.get('state', '?')}", file=sys.stderr)
-        job = client.wait(job_id, timeout_s=args.timeout)
-    except ServeClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except urllib.error.URLError as exc:
-        print(f"error: cannot reach {args.url}: {exc.reason}",
-              file=sys.stderr)
-        return 2
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        try:
+            job = client.wait(job_id, timeout_s=args.timeout)
+        except WaitTimeout as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     if args.out is not None:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -607,52 +598,34 @@ def _metrics_grep(pattern: str, text: str) -> str:
 
 def _cmd_metrics(args) -> int:
     import time as _time
-    import urllib.error
 
-    from ..serve import ServeClient, ServeClientError
-    client = ServeClient(args.url)
+    from ..serve import ServeClient
     try:
-        while True:
-            if args.window is not None:
-                print(json.dumps(client.metrics(window_s=args.window),
-                                 indent=1, sort_keys=True))
-            elif args.format == "json":
-                print(json.dumps(client.metrics("json"), indent=1,
-                                 sort_keys=True))
-            else:
-                text = client.metrics()
-                if args.grep:
-                    text = _metrics_grep(args.grep, text)
-                print(text)
-            if not args.watch:
-                return 0
-            _time.sleep(args.interval)
+        with ServeClient(args.url) as client:
+            while True:
+                if args.window is not None:
+                    print(json.dumps(client.metrics(window_s=args.window),
+                                     indent=1, sort_keys=True))
+                elif args.format == "json":
+                    print(json.dumps(client.metrics("json"), indent=1,
+                                     sort_keys=True))
+                else:
+                    text = client.metrics()
+                    if args.grep:
+                        text = _metrics_grep(args.grep, text)
+                    print(text)
+                if not args.watch:
+                    return 0
+                _time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-    except ServeClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except urllib.error.URLError as exc:
-        print(f"error: cannot reach {args.url}: {exc.reason}",
-              file=sys.stderr)
-        return 2
 
 
 def _cmd_slo(args) -> int:
-    import urllib.error
-
-    from ..serve import ServeClient, ServeClientError
+    from ..serve import ServeClient
     from ..utils.tables import print_table
-    client = ServeClient(args.url)
-    try:
+    with ServeClient(args.url) as client:
         report = client.slo()
-    except ServeClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except urllib.error.URLError as exc:
-        print(f"error: cannot reach {args.url}: {exc.reason}",
-              file=sys.stderr)
-        return 2
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
@@ -669,40 +642,31 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import urllib.error
-
     from ..serve import ServeClient, ServeClientError
-    client = ServeClient(args.url)
     try:
-        if args.json:
-            found = client.profile(args.job_id, format="json")
-            if found.get("profile") is None:
-                print(f"no profile recorded for job {args.job_id}",
-                      file=sys.stderr)
-                return 1
-            print(json.dumps(found, indent=1, sort_keys=True))
-        else:
-            sys.stdout.write(client.profile(args.job_id))
+        with ServeClient(args.url) as client:
+            fmt = "json" if args.json else "text"
+            found = client.profile(args.job_id, format=fmt)
     except ServeClientError as exc:
-        if exc.status == 404:
-            print(f"error: {exc.message}", file=sys.stderr)
-            return 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except urllib.error.URLError as exc:
-        print(f"error: cannot reach {args.url}: {exc.reason}",
+        if exc.status != 404:
+            raise
+        print(f"error: {exc.message}", file=sys.stderr)
+        return 1
+    if not args.json:
+        sys.stdout.write(found)
+    elif found.get("profile") is None:
+        print(f"no profile recorded for job {args.job_id}",
               file=sys.stderr)
-        return 2
+        return 1
+    else:
+        print(json.dumps(found, indent=1, sort_keys=True))
     return 0
 
 
 def _cmd_trace(args) -> int:
-    import urllib.error
-
     from ..obs.trace import render_tree
-    from ..serve import ServeClient, ServeClientError
-    client = ServeClient(args.url)
-    try:
+    from ..serve import ServeClient
+    with ServeClient(args.url) as client:
         trace = None
         # Prefer the serve-side span tree (covers queue/lock/execute);
         # fall back to the report's run-level trace block.
@@ -713,13 +677,6 @@ def _cmd_trace(args) -> int:
         if not trace:
             job = client.job(args.job_id)
             trace = (job.get("report") or {}).get("trace")
-    except ServeClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except urllib.error.URLError as exc:
-        print(f"error: cannot reach {args.url}: {exc.reason}",
-              file=sys.stderr)
-        return 2
     if not trace:
         print(f"no trace recorded for job {args.job_id}",
               file=sys.stderr)
@@ -822,22 +779,17 @@ def _parse_corner(text: str) -> tuple:
 
 
 def _cmd_predict(args) -> int:
-    import urllib.error
     corners = [_parse_corner(c) for c in args.corner]
     if args.url is not None:
         from ..serve import ServeClient, ServeClientError
-        client = ServeClient(args.url)
         try:
-            doc = (client.predict(args.design, corners[0])
-                   if len(corners) == 1
-                   else client.predict_batch(args.design, corners))
+            with ServeClient(args.url) as client:
+                doc = (client.predict(args.design, corners[0])
+                       if len(corners) == 1
+                       else client.predict_batch(args.design, corners))
         except ServeClientError as exc:
             print(f"error: {exc.message}", file=sys.stderr)
             return 1 if exc.status == 409 else 2
-        except urllib.error.URLError as exc:
-            print(f"error: cannot reach {args.url}: {exc.reason}",
-                  file=sys.stderr)
-            return 2
     elif args.workspace is not None:
         from ..predict import PredictError, PredictService
         service = PredictService(Workspace(args.workspace))
@@ -868,6 +820,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    from ..serve.client import ServeClientError
     from .runner import CampaignCheckpointError
     args = _build_parser().parse_args(argv)
     try:
@@ -894,8 +847,16 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return _cmd_predict(args)
         return _cmd_run(args)
-    except (ConfigError, CampaignCheckpointError) as exc:
+    except (ConfigError, CampaignCheckpointError,
+            ServeClientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The client commands' one transport-failure path; file
+        # errors (they name their file) are not about the server.
+        if getattr(args, "url", None) is None or exc.filename:
+            raise
+        print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -88,18 +88,18 @@ class ShardProcess:
                     f"shard {self.name!r} never published its URL "
                     f"(log: {self.log_path})")
             time.sleep(0.05)
-        probe = ServeClient(self.url, timeout_s=5.0, retries=0)
-        while True:
-            try:
-                probe.health()
-                return self.url
-            except (ServeClientError, OSError):
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"shard {self.name!r} bound {self.url} but "
-                        f"never became healthy "
-                        f"(log: {self.log_path})") from None
-                time.sleep(0.1)
+        with ServeClient(self.url, timeout_s=5.0, retries=0) as probe:
+            while True:
+                try:
+                    probe.health()
+                    return self.url
+                except (ServeClientError, OSError):
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(
+                            f"shard {self.name!r} bound {self.url} but "
+                            f"never became healthy "
+                            f"(log: {self.log_path})") from None
+                    time.sleep(0.1)
 
     def _log_tail(self, lines: int = 20) -> str:
         try:
@@ -200,7 +200,7 @@ def join_cluster(router_url: str, name: str, url: str,
     """Announce a running shard to a router
     (``POST /v1/cluster/join``); the router extends its ring and
     pushes the new membership to every shard."""
-    client = ServeClient(router_url)
-    return client._request("POST", "/v1/cluster/join",
-                           {"name": name, "url": url,
-                            "weight": weight})
+    with ServeClient(router_url) as client:
+        return client._request("POST", "/v1/cluster/join",
+                               {"name": name, "url": url,
+                                "weight": weight})

@@ -92,6 +92,11 @@ class DiskCache:
     touch their entry, so a hot corner never ages out under a cold
     sweep) are deleted until the tier fits. ``None`` keeps the
     historical unbounded behavior.
+
+    A bounded tier keeps a running byte count and re-lists the
+    directory only when the count is unknown (first bounded put, after
+    :meth:`clear`) or a put would exceed ``max_bytes``: entries another
+    process wrote, and an overwrite's double count, settle there.
     """
 
     def __init__(self, directory: str | Path,
@@ -103,6 +108,7 @@ class DiskCache:
                              f"got {max_bytes}")
         self.max_bytes = max_bytes
         self.stats = CacheStats()
+        self._bytes = None               # running tier size; None = re-list
 
     def path(self, digest: str) -> Path:
         return self.directory / f"{digest}.pkl"
@@ -139,6 +145,7 @@ class DiskCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                size = fh.tell()
             os.replace(tmp, self.path(digest))
         except BaseException:
             try:
@@ -147,8 +154,12 @@ class DiskCache:
                 pass
             raise
         self.stats.puts += 1
-        if self.max_bytes is not None:
+        if self.max_bytes is None:
+            self._bytes = None
+        elif self._bytes is None or self._bytes + size > self.max_bytes:
             self._evict_to_fit(keep=self.path(digest))
+        else:
+            self._bytes += size
 
     def size_bytes(self) -> int:
         """Total bytes held by this tier's entries."""
@@ -174,10 +185,10 @@ class DiskCache:
             except OSError:
                 continue
             entries.append((st.st_mtime, st.st_size, path))
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return
+        self._bytes = sum(size for _, size, _ in entries)
         for _, size, path in sorted(entries):
+            if self._bytes <= self.max_bytes:
+                return
             if keep is not None and path == keep:
                 continue
             try:
@@ -185,11 +196,10 @@ class DiskCache:
             except OSError:
                 continue
             self.stats.evictions += 1
-            total -= size
-            if total <= self.max_bytes:
-                return
+            self._bytes -= size
 
     def clear(self) -> None:
+        self._bytes = None
         for path in self.directory.glob("*.pkl"):
             try:
                 path.unlink()

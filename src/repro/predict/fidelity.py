@@ -133,9 +133,9 @@ def _escalate(config, uncertainty: dict) -> None:
         counter.labels(outcome="unconfigured").inc()
         return
     try:
-        job = ServeClient(url).submit(
-            escalation_config(config).to_dict())
-    except (ServeClientError, OSError) as exc:
+        with ServeClient(url) as client:
+            job = client.submit(escalation_config(config).to_dict())
+    except (ServeClientError, OSError, ValueError) as exc:
         uncertainty["escalated"] = False
         uncertainty["escalation_error"] = str(exc)
         counter.labels(outcome="error").inc()

@@ -17,8 +17,9 @@ cancellation, and stdlib HTTP/CLI front ends:
 * :mod:`~repro.serve.http` — :class:`StcoServer`, a dependency-free
   ``ThreadingHTTPServer`` JSON API (one route table and handler, also
   the cluster router's front end);
-* :mod:`~repro.serve.client` — :class:`ServeClient`, the urllib
-  counterpart (also behind ``repro submit``).
+* :mod:`~repro.serve.client` — :class:`ServeClient`, the counterpart
+  (also behind ``repro submit``): one kept-alive ``http.client``
+  transport with one retry policy.
 
 Quickstart::
 

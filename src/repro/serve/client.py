@@ -1,26 +1,28 @@
-"""ServeClient: the thin urllib client for the serve HTTP API.
+"""ServeClient: the thin client for the serve HTTP API.
 
 Everything the server speaks is JSON, so the client is a dozen small
-methods over one ``urllib.request`` helper — no dependencies, usable
-from tests, examples and the ``repro submit`` CLI alike. HTTP error
-responses raise :class:`ServeClientError` carrying the decoded error
-body and status code.
+methods over one transport call, :meth:`ServeClient._send` — no
+dependencies, usable from tests, examples and the ``repro submit`` CLI
+alike. HTTP error responses raise :class:`ServeClientError` carrying
+the decoded error body and status code; transport failures reach the
+caller as ``OSError`` (refused, reset, timed out).
 
-Transport failures are retried: transient ``URLError`` / connection
-resets get bounded exponential backoff with jitter (a restarting shard
-or a mid-request socket drop should not fail a whole submission), and
-a 503 answer honors the server's ``Retry-After`` hint before backing
-off. Retries are bounded (``retries`` attempts after the first) and
-off-able (``retries=0``); non-transient HTTP errors never retry.
-Submissions are content-keyed and coalesced server-side, so a retried
-POST is idempotent — except ``force=True``, where a retry after an
-ambiguous drop may execute twice (forced runs opt out of dedup by
-definition).
+Every request rides a pool of kept-alive ``http.client`` connections
+(a reused one the server has since closed is reopened once), so a
+predict reader, a job poller or a peer borrowing one cache entry per
+corner pays the TCP handshake once. An event stream gets a connection
+of its own, closed when the stream ends. :meth:`ServeClient.close`
+(or leaving a ``with`` block) closes the idle ones.
 
-Cache-entry reads (:meth:`ServeClient.cache_entry`, the cluster's
-peer-borrow primitive) reuse keep-alive connections: a borrowed sweep
-reads one entry per corner, and a new TCP connection per entry costs
-more than the entry.
+Transport failures are retried: connection failures get bounded
+exponential backoff with jitter (a restarting shard or a mid-request
+socket drop should not fail a whole submission), and a 503 answer
+honors the server's ``Retry-After`` hint before backing off. Retries
+are bounded (``retries`` attempts after the first) and off-able
+(``retries=0``); non-transient HTTP errors never retry. Submissions
+are content-keyed and coalesced server-side, so a retried POST is
+idempotent — except ``force=True``, where a retry after an ambiguous
+drop may execute twice (forced runs opt out of dedup by definition).
 """
 
 from __future__ import annotations
@@ -30,15 +32,13 @@ import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from urllib.parse import urlsplit
 
 from ..obs.trace import (TRACEPARENT_HEADER, current_context,
                          current_traceparent, mint_context,
                          trace_context)
 
-__all__ = ["ServeClientError", "ServeClient"]
+__all__ = ["ServeClientError", "ServeClient", "WaitTimeout"]
 
 
 class ServeClientError(RuntimeError):
@@ -52,6 +52,25 @@ class ServeClientError(RuntimeError):
         self.body = body                 # decoded JSON body, when any
         self.retry_after = retry_after   # server's Retry-After seconds
 
+    @classmethod
+    def from_response(cls, resp, data: bytes) -> "ServeClientError":
+        """The error for an answered status >= 400: the decoded JSON
+        body, its ``error`` message and the ``Retry-After`` seconds (an
+        HTTP-date hint is ignored)."""
+        try:
+            retry_after = max(0.0, float(resp.getheader("Retry-After")))
+        except (TypeError, ValueError):
+            retry_after = None           # absent, or an HTTP date
+        body, message = None, f"HTTP Error {resp.status}: {resp.reason}"
+        try:
+            body = json.loads(data)
+            if isinstance(body, dict):
+                message = body.get("error", message)
+        except ValueError:               # not JSON, or not UTF-8
+            pass
+        return cls(resp.status, message, body=body,
+                   retry_after=retry_after)
+
     def http_reply(self) -> tuple:
         """Forwarded verbatim by a proxy (the cluster router): status,
         body and the ``Retry-After`` hint."""
@@ -62,17 +81,15 @@ class ServeClientError(RuntimeError):
         return self.status, body, hint
 
 
+class WaitTimeout(TimeoutError):
+    """A job outlived :meth:`ServeClient.wait` (not a socket timeout)."""
+
+
 #: What a kept-alive connection raises when the server has closed it
 #: since its last request: worth one more try on a fresh connection.
 #: A timeout is not among them — a stalled server is not retried.
 _STALE = (http.client.BadStatusLine, ConnectionResetError,
           BrokenPipeError)
-
-
-def _transient(exc: urllib.error.URLError) -> bool:
-    """Worth retrying? Socket-level failures (refused, reset, timeout)
-    are; structural errors (bad URL scheme, ...) are not."""
-    return isinstance(exc.reason, (OSError, TimeoutError))
 
 
 class ServeClient:
@@ -88,80 +105,37 @@ class ServeClient:
                  retries: int = 2, backoff_s: float = 0.2,
                  backoff_max_s: float = 5.0):
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http":
+            raise ValueError(f"ServeClient speaks http://, not "
+                             f"{base_url!r}")
+        self._host, self._port, self._prefix = \
+            url.hostname, url.port, url.path
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s
-        self._idle: list = []            # kept-alive cache connections
+        self._idle: list = []            # kept-alive connections
         self._idle_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the kept-alive connections (a later read reopens)."""
+        """Close the idle kept-alive connections (a later request
+        reopens)."""
         with self._idle_lock:
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
 
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- transport ---------------------------------------------------------
     def _backoff(self, attempt: int) -> float:
         base = min(self.backoff_s * (2 ** attempt), self.backoff_max_s)
         return base * (0.5 + random.random() * 0.5)
-
-    @staticmethod
-    def _error(exc: urllib.error.HTTPError) -> ServeClientError:
-        retry_after = None
-        raw_hint = exc.headers.get("Retry-After") \
-            if exc.headers is not None else None
-        if raw_hint is not None:
-            try:
-                retry_after = max(0.0, float(raw_hint))
-            except ValueError:
-                retry_after = None       # HTTP-date form: ignore
-        body, message = None, str(exc)
-        try:
-            body = json.loads(exc.read().decode("utf-8"))
-            if isinstance(body, dict):
-                message = body.get("error", message)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            pass
-        return ServeClientError(exc.code, message, body=body,
-                                retry_after=retry_after)
-
-    def _open(self, request, retry_503: bool = True):
-        """``urlopen`` with the retry policy; returns the response or
-        raises :class:`ServeClientError` / the final ``URLError``."""
-        attempt = 0
-        while True:
-            try:
-                return urllib.request.urlopen(request,
-                                              timeout=self.timeout_s)
-            except urllib.error.HTTPError as exc:
-                error = self._error(exc)
-                exc.close()
-                if exc.code == 503 and retry_503 \
-                        and attempt < self.retries:
-                    # The server said when to come back; otherwise use
-                    # our own (jittered) schedule.
-                    delay = (error.retry_after
-                             if error.retry_after is not None
-                             else self._backoff(attempt))
-                    time.sleep(min(delay, self.backoff_max_s))
-                    attempt += 1
-                    continue
-                raise error from None
-            except urllib.error.URLError as exc:
-                if attempt < self.retries and _transient(exc):
-                    time.sleep(self._backoff(attempt))
-                    attempt += 1
-                    continue
-                raise
-            except (ConnectionError, TimeoutError):
-                # A reset after the connection was established arrives
-                # bare, not wrapped in URLError.
-                if attempt >= self.retries:
-                    raise
-                time.sleep(self._backoff(attempt))
-                attempt += 1
 
     @staticmethod
     def _headers(extra: dict | None = None) -> dict:
@@ -175,25 +149,84 @@ class ServeClient:
             headers[TRACEPARENT_HEADER] = traceparent
         return headers
 
+    def _send(self, method: str, path: str, payload: dict | None = None,
+              retry_503: bool = True, stream: bool = False):
+        """One request under the retry policy: ``(response, body)``
+        below status 400, else :class:`ServeClientError`; the last
+        connection failure raises as ``OSError``. ``stream=True``
+        returns a success unread, with its own connection in place of
+        the body, for the caller to read and close."""
+        body = (None if payload is None
+                else json.dumps(payload).encode("utf-8"))
+        headers = self._headers({"Content-Type": "application/json"})
+        attempt = 0
+        while True:
+            try:
+                resp, data = self._exchange(method, path, body, headers,
+                                            stream)
+            except OSError:
+                if attempt >= self.retries:
+                    raise
+                time.sleep(self._backoff(attempt))
+                attempt += 1
+                continue
+            if resp.status < 400:
+                return resp, data
+            error = ServeClientError.from_response(resp, data)
+            if resp.status == 503 and retry_503 \
+                    and attempt < self.retries:
+                # The server said when to come back; otherwise use our
+                # own (jittered) schedule.
+                delay = (error.retry_after
+                         if error.retry_after is not None
+                         else self._backoff(attempt))
+                time.sleep(min(delay, self.backoff_max_s))
+                attempt += 1
+                continue
+            raise error
+
+    def _exchange(self, method: str, path: str, body, headers: dict,
+                  stream: bool = False, reuse: bool = True):
+        """One attempt: the request on an idle kept-alive connection
+        (or a new one), ``(response, body bytes)`` back. A reused
+        connection the server has closed meanwhile is reopened once;
+        any other failure (refused, reset, timed out) raises."""
+        conn = None
+        if reuse and not stream:
+            with self._idle_lock:
+                conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = http.client.HTTPConnection(self._host, self._port,
+                                              timeout=self.timeout_s)
+        try:
+            conn.request(method, self._prefix + path, body=body,
+                         headers=headers)
+            resp = conn.getresponse()
+            if stream and resp.status < 400:
+                return resp, conn        # a stream's own: never pooled
+            data = resp.read()
+        except _STALE:
+            conn.close()
+            if not reused:
+                raise
+            return self._exchange(method, path, body, headers,
+                                  reuse=False)
+        except BaseException:
+            conn.close()
+            raise
+        if stream or resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp, data
+
     def _request(self, method: str, path: str,
                  payload: dict | None = None,
                  retry_503: bool = True) -> dict:
-        url = f"{self.base_url}{path}"
-        body = (None if payload is None
-                else json.dumps(payload).encode("utf-8"))
-        request = urllib.request.Request(
-            url, data=body, method=method,
-            headers=self._headers({"Content-Type":
-                                   "application/json"}))
-        with self._open(request, retry_503=retry_503) as resp:
-            return json.loads(resp.read().decode("utf-8"))
-
-    def _request_text(self, path: str) -> str:
-        request = urllib.request.Request(f"{self.base_url}{path}",
-                                         method="GET",
-                                         headers=self._headers())
-        with self._open(request) as resp:
-            return resp.read().decode("utf-8")
+        return json.loads(self._send(method, path, payload,
+                                     retry_503=retry_503)[1])
 
     # -- service introspection --------------------------------------------
     def health(self) -> dict:
@@ -227,7 +260,7 @@ class ServeClient:
                                  f"/v1/metrics?window={window_s}")
         if format == "json":
             return self._request("GET", "/v1/metrics?format=json")
-        return self._request_text("/v1/metrics")
+        return self._send("GET", "/v1/metrics")[1].decode("utf-8")
 
     def slo(self) -> dict:
         """Evaluate the service's SLO rules: per-rule state + rolled-up
@@ -240,71 +273,28 @@ class ServeClient:
         if format == "json":
             return self._request(
                 "GET", f"/v1/runs/{job_id}/profile?format=json")
-        return self._request_text(f"/v1/runs/{job_id}/profile")
+        return self._send("GET", f"/v1/runs/{job_id}/profile")[1] \
+            .decode("utf-8")
 
     def cache_entry(self, digest: str, tier: str | None = None):
         """Fetch one engine disk-cache entry by content digest.
 
         Returns ``(tier, raw_pickle_bytes)`` or ``None`` when no shard
         tier holds the digest — the cluster peer-borrow primitive.
-        Transport failures are retried like every other request; a
-        non-404 error status raises :class:`ServeClientError`.
+        Transport failures are retried like every other request; a 503
+        (a draining peer) is not, and a non-404 error status raises
+        :class:`ServeClientError`.
         """
         path = f"/v1/cache/{digest}"
         if tier is not None:
             path += f"?tier={tier}"
-        attempt = 0
-        while True:
-            try:
-                status, found, body = self._get_kept_alive(path)
-                break
-            except (ConnectionError, TimeoutError):
-                if attempt >= self.retries:
-                    raise
-                time.sleep(self._backoff(attempt))
-                attempt += 1
-        if status == 404:
-            return None
-        if status != 200:
-            try:
-                message = json.loads(body.decode("utf-8"))["error"]
-            except (ValueError, KeyError, TypeError):
-                message = f"cache read failed ({status})"
-            raise ServeClientError(status, message)
-        return found or tier or "", body
-
-    def _get_kept_alive(self, path: str):
-        """``(status, X-Repro-Tier, body)`` for one GET on an idle
-        kept-alive connection, or a new one. A reused connection the
-        server has closed meanwhile is dropped and the next one tried;
-        any other failure (refused, timed out) raises."""
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
-        if conn is None:
-            url = urlsplit(self.base_url)
-            conn = http.client.HTTPConnection(url.hostname, url.port,
-                                              timeout=self.timeout_s)
         try:
-            conn.request("GET", urlsplit(self.base_url).path + path,
-                         headers=self._headers())
-            resp = conn.getresponse()
-            answer = resp.status, resp.getheader("X-Repro-Tier"), \
-                resp.read()
-        except _STALE:
-            conn.close()
-            if not reused:
-                raise
-            return self._get_kept_alive(path)
-        except BaseException:
-            conn.close()
+            resp, body = self._send("GET", path, retry_503=False)
+        except ServeClientError as exc:
+            if exc.status == 404:
+                return None
             raise
-        if resp.will_close:
-            conn.close()
-        else:
-            with self._idle_lock:
-                self._idle.append(conn)
-        return answer
+        return resp.getheader("X-Repro-Tier") or tier or "", body
 
     # -- tier-0 inference --------------------------------------------------
     def predict(self, design: str, corner) -> dict:
@@ -370,14 +360,12 @@ class ServeClient:
         return self._event_stream(job_id, heartbeats=heartbeats)
 
     def _event_stream(self, job_id: str, heartbeats: bool = False):
-        url = f"{self.base_url}/v1/runs/{job_id}/events?stream=1"
-        request = urllib.request.Request(url, method="GET",
-                                         headers=self._headers())
         # Connect errors retry; a drop mid-stream does not (the caller
         # would see duplicated events).
-        resp = self._open(request)
+        resp, conn = self._send(
+            "GET", f"/v1/runs/{job_id}/events?stream=1", stream=True)
         # http.client decodes the chunked framing; we parse SSE lines.
-        with resp:
+        try:
             kind, data_lines = "message", []
             for raw in resp:
                 line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
@@ -401,6 +389,9 @@ class ServeClient:
                     if kind == "end":
                         return
                     kind, data_lines = "message", []
+        finally:
+            resp.close()
+            conn.close()
 
     def cancel(self, job_id: str) -> dict:
         return self._request("POST", f"/v1/runs/{job_id}/cancel")
@@ -421,7 +412,7 @@ class ServeClient:
             if state in ("succeeded", "failed", "cancelled"):
                 return self.job(job_id)
             if time.monotonic() >= deadline:
-                raise TimeoutError(
+                raise WaitTimeout(
                     f"job {job_id} still {state} after "
                     f"{timeout_s:.1f}s")
             time.sleep(poll_s)

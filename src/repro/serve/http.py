@@ -268,6 +268,12 @@ class _Handler(BaseHTTPRequestHandler):
         return data
 
     def _dispatch(self, method: str) -> None:
+        if self.server.closed:
+            # A kept-alive connection outlives close(): drop it
+            # unanswered, as a stopped server would, so its client
+            # reconnects and finds the server gone.
+            self.close_connection = True
+            return
         path, _, raw_query = self.path.partition("?")
         parts = _segments(path)
         label, endpoint, params = _match(self.server.role, method, parts)
@@ -470,6 +476,7 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    closed = False
 
 
 class StcoServer:
@@ -514,6 +521,7 @@ class StcoServer:
         self.httpd.serve_forever()
 
     def close(self, close_service: bool = False) -> None:
+        self.httpd.closed = True
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:

@@ -22,10 +22,13 @@ GNN training, which reads the process-global autograd mode
 (:meth:`repro.surrogate.models.EnsemblePPAModel.predict_members`),
 which flips it; and the workspace's artifact builds, which are not
 synchronised (two jobs could build the same dataset or train the same
-model twice). The service's concurrency win comes from admission
-(submissions never block on running work), coalescing, and the shared
-warm caches — the per-job ``ledger`` records queue wait, lock wait and
-execution seconds separately so that split stays observable.
+model twice). One at a time is also the faster schedule: on 2 CPUs,
+two concurrent write executions contend for the GIL and each takes
+~2.2× longer, for no more throughput. The service's concurrency win
+comes from admission (submissions never block on running work),
+coalescing, and the shared warm caches — the per-job ``ledger``
+records queue wait, lock wait and execution seconds separately so that
+split stays observable.
 
 Cancellation: queued jobs cancel immediately; running jobs cancel at
 the next optimizer round via the progress callback (the per-round hook

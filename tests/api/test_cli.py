@@ -224,7 +224,7 @@ class TestSubmitErrors:
         config = StcoConfig(mode="search")
         path = tmp_path / "cfg.json"
         config.save(path)
-        # Port 1 is never listening; urllib fails fast with ECONNREFUSED.
+        # Port 1 is never listening: every attempt is refused at once.
         assert main(["submit", str(path), "--url",
                      "http://127.0.0.1:1"]) == 2
         assert "cannot reach" in capsys.readouterr().err
@@ -234,6 +234,53 @@ class TestSubmitErrors:
         assert main(["submit", "/nonexistent/cfg.json", "--url",
                      "http://127.0.0.1:1"]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.fixture
+    def submitted(self, tmp_path, monkeypatch):
+        """``repro submit --wait`` argv whose submit is answered
+        locally; the test decides how the wait ends."""
+        from repro.serve import ServeClient
+        monkeypatch.setattr(ServeClient, "submit",
+                            lambda self, *a, **k: {"job_id": "j1"})
+        path = tmp_path / "cfg.json"
+        StcoConfig(mode="search").save(path)
+        return ["submit", str(path), "--url", "http://127.0.0.1:1",
+                "--wait", "--timeout", "0.1"]
+
+    def test_wait_deadline_exits_3(self, submitted, monkeypatch,
+                                   capsys):
+        from repro.serve import ServeClient
+        from repro.serve.client import WaitTimeout
+
+        def deadline(self, job_id, timeout_s):
+            raise WaitTimeout(f"job {job_id} still running after "
+                              f"{timeout_s:.1f}s")
+
+        monkeypatch.setattr(ServeClient, "wait", deadline)
+        assert main(submitted) == 3
+        assert "still running" in capsys.readouterr().err
+
+    def test_socket_timeout_while_waiting_exits_2(self, submitted,
+                                                  monkeypatch, capsys):
+        """Both are ``TimeoutError``s; only the job's own deadline is
+        exit 3."""
+        import socket
+
+        from repro.serve import ServeClient
+
+        def stalled(self, job_id, timeout_s):
+            raise socket.timeout("timed out")
+
+        monkeypatch.setattr(ServeClient, "wait", stalled)
+        assert main(submitted) == 2
+        assert "cannot reach http://127.0.0.1:1: timed out" \
+            in capsys.readouterr().err
+
+    def test_non_http_url_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["slo", "--url", "127.0.0.1:8765"])
+        assert exit_.value.code == 2
+        assert "http://" in capsys.readouterr().err
 
 
 class TestMetricsGrep:

@@ -182,6 +182,24 @@ class TestDiskCacheSizeEviction:
         assert len(cache) == 8
         assert cache.stats.evictions == 0
 
+    def test_under_budget_puts_list_the_directory_once(self, tmp_path,
+                                                       monkeypatch):
+        cache = DiskCache(tmp_path / "c", max_bytes=1 << 20)
+        listings = []
+        real_glob = Path.glob
+
+        def counting_glob(self, pattern):
+            listings.append(pattern)
+            return real_glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        for i in range(50):
+            cache.put(f"k{i}", b"z" * 128)
+        assert len(listings) <= 1
+        assert cache.stats.evictions == 0
+        monkeypatch.undo()
+        assert len(cache) == 50
+
     def test_eviction_is_lru_not_fifo(self, tmp_path):
         cache = DiskCache(tmp_path / "c", max_bytes=None)
         self._put(cache, "old", b"x" * 400, 100)

@@ -46,6 +46,24 @@ class TestShardEndpoints:
         assert doc["count"] == 2
         assert all("uncertainty" in p for p in doc["predictions"])
 
+    def test_predicts_share_one_kept_alive_connection(self, served):
+        _, server = served
+        accepted = []
+        process = server.httpd.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            return process(request, client_address)
+
+        server.httpd.process_request = counting
+        try:
+            with ServeClient(server.url) as client:
+                for i in range(20):
+                    client.predict(DESIGN, (0.8 + 0.01 * i, -0.05, 0.9))
+        finally:
+            del server.httpd.process_request
+        assert len(accepted) == 1
+
     def test_malformed_corner_is_400(self, served):
         client, _ = served
         with pytest.raises(ServeClientError) as exc:

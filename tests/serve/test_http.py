@@ -30,8 +30,9 @@ def stub_stack(tmp_path_factory):
     service = ServeService(Workspace(tmp / "ws"),
                            jobs_dir=tmp / "jobs", workers=2,
                            runner=runner)
-    with StcoServer(service) as server:
-        yield server, ServeClient(server.url), runner
+    with StcoServer(service) as server, \
+            ServeClient(server.url) as client:
+        yield server, client, runner
     service.close(timeout=5)
 
 
@@ -152,6 +153,7 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request, timeout=10)
         assert exc.value.code == 400
+        exc.value.close()
 
     def test_empty_body_is_400(self, client):
         with pytest.raises(ServeClientError) as exc:
@@ -185,6 +187,7 @@ class TestRouteLabels:
             with pytest.raises(urllib.error.HTTPError) as exc:
                 urllib.request.urlopen(server.url + path, timeout=10)
             assert exc.value.code == 404
+            exc.value.close()
         assert len(family.children()) - before <= 2
         routes = {labels["route"] for labels, _ in family.children()}
         assert "/v1/cache/{digest}" in routes
@@ -225,8 +228,8 @@ class TestRealHttpRoundTrip:
                                                    tmp_path):
         service = ServeService(serve_ws, jobs_dir=tmp_path / "jobs",
                                workers=1)
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             report = client.run(make_config(), timeout_s=300)
             # Same config, same (warm) workspace as the session
             # baseline: the service answer equals the library answer.

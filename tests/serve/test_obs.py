@@ -91,8 +91,8 @@ class TestMetricsEndpoint:
                                               make_service):
         runner = StubRunner(rounds=2)
         service = make_service(runner, workers=1)
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             job = client.submit(make_config(seed=70).to_dict())
             client.wait(job["job_id"], timeout_s=10)
             text = client.metrics()
@@ -126,8 +126,8 @@ class TestSseStreaming:
             self, make_service):
         runner = StubRunner(rounds=3, delay_s=0.05)
         service = make_service(runner, workers=1)
-        with StcoServer(service, sse_heartbeat_s=0.2) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service, sse_heartbeat_s=0.2) as server, \
+                ServeClient(server.url) as client:
             job_id = client.submit(make_config(seed=71).to_dict())[
                 "job_id"]
             got = list(client.events(job_id, stream=True))
@@ -142,8 +142,8 @@ class TestSseStreaming:
         runner = StubRunner(rounds=2, delay_s=0.05)
         gate = runner.gate = threading.Event()
         service = make_service(runner, workers=1)
-        with StcoServer(service, sse_heartbeat_s=0.2) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service, sse_heartbeat_s=0.2) as server, \
+                ServeClient(server.url) as client:
             cfg = make_config(seed=72).to_dict()
             leader = client.submit(cfg)["job_id"]
             assert runner.started.wait(10)
@@ -159,8 +159,8 @@ class TestSseStreaming:
     def test_stream_of_finished_job_replays_and_ends(self,
                                                      make_service):
         service = make_service(StubRunner(rounds=2), workers=1)
-        with StcoServer(service, sse_heartbeat_s=0.2) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service, sse_heartbeat_s=0.2) as server, \
+                ServeClient(server.url) as client:
             job_id = client.submit(make_config(seed=73).to_dict())[
                 "job_id"]
             client.wait(job_id, timeout_s=10)
@@ -170,8 +170,8 @@ class TestSseStreaming:
 
     def test_unknown_job_404s_before_headers(self, make_service):
         service = make_service(StubRunner(), workers=1)
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             from repro.serve import ServeClientError
             with pytest.raises(ServeClientError) as err:
                 list(client.events("nope", stream=True))
@@ -271,9 +271,9 @@ class TestSseUnderSlowConsumer:
             # finishes, and the server keeps answering.
             done = service.wait(job.job_id, timeout=30)
             assert done.state == JobState.SUCCEEDED
-            client = ServeClient(server.url)
-            assert client.health()["status"] == "ok"
-            replay = list(client.events(job.job_id, stream=True))
+            with ServeClient(server.url) as client:
+                assert client.health()["status"] == "ok"
+                replay = list(client.events(job.job_id, stream=True))
             assert replay[-1]["event"] == "end"
             assert replay[-1]["data"]["state"] == JobState.SUCCEEDED
 
@@ -289,8 +289,8 @@ class TestSloThroughServe:
         service = make_service(runner, workers=1,
                                series_interval_s=0, slo_rules=[rule])
         rec = service.recorder
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             rec.sample()
             service.wait(service.submit(make_config(seed=62)).job_id,
                          timeout=10)
@@ -328,8 +328,9 @@ class TestSloThroughServe:
                                                 make_service):
         service = make_service(StubRunner(), workers=1,
                                series_interval_s=0)
-        with StcoServer(service) as server:
-            report = ServeClient(server.url).slo()
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
+            report = client.slo()
             assert {r["name"] for r in report["rules"]} == {
                 "execute-latency", "job-error-rate",
                 "cache-hit-ratio", "queue-depth", "predict-drift"}
@@ -368,8 +369,8 @@ class TestSeriesRecorderThroughServe:
                                             make_service):
         service = make_service(StubRunner(rounds=2), workers=1,
                                series_interval_s=0)
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             service.recorder.sample()
             client.wait(client.submit(
                 make_config(seed=67).to_dict())["job_id"],
@@ -422,8 +423,8 @@ class TestJobProfile:
     def test_profile_http_text_and_json(self, make_service):
         service = make_service(StubRunner(rounds=2, delay_s=0.02),
                                workers=1, profile_interval_s=0.005)
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             job_id = client.submit(make_config(seed=78).to_dict())[
                 "job_id"]
             client.wait(job_id, timeout_s=10)
@@ -439,8 +440,8 @@ class TestJobProfile:
                                                     make_service):
         service = make_service(StubRunner(rounds=1), workers=1,
                                profile_interval_s=0)
-        with StcoServer(service) as server:
-            client = ServeClient(server.url)
+        with StcoServer(service) as server, \
+                ServeClient(server.url) as client:
             job_id = client.submit(make_config(seed=79).to_dict())[
                 "job_id"]
             client.wait(job_id, timeout_s=10)
