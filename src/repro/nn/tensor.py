@@ -14,33 +14,42 @@ Design notes
   12-layer GAT) do not hit the recursion limit.
 * Broadcasting follows numpy semantics; ``_unbroadcast`` folds gradients back
   to the operand's original shape.
+* Grad mode is per thread: ``no_grad`` in one thread never changes what
+  another thread's operations record.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 __all__ = ["Tensor", "Parameter", "as_tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    enabled = True              # every thread starts recording
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
     """Context manager that disables graph recording (inference mode)."""
 
     def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations are currently recorded for autograd."""
-    return _GRAD_ENABLED[0]
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -85,7 +94,7 @@ class Tensor:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.grad = None
-        self.requires_grad = requires_grad and _GRAD_ENABLED[0]
+        self.requires_grad = requires_grad and _GRAD_MODE.enabled
         self._backward = None
         self._prev = _prev if self.requires_grad or _prev else ()
         self.name = name
@@ -133,10 +142,11 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         """Create a result tensor; record ``backward`` if grads are needed."""
-        requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires,
-                     _prev=tuple(parents) if requires else ())
-        if requires:
+        out = Tensor(data)
+        if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+            # Set directly: one grad-mode read per op, not two.
+            out.requires_grad = True
+            out._prev = tuple(parents)
             out._backward = backward
         return out
 

@@ -29,6 +29,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 __all__ = ["Profile", "SamplingProfiler", "DEFAULT_INTERVAL_S"]
@@ -41,8 +42,11 @@ DEFAULT_INTERVAL_S = 0.01
 MAX_DEPTH = 128
 
 
-def _frame_name(frame) -> str:
-    code = frame.f_code
+@lru_cache(maxsize=8192)
+def _code_name(code) -> str:
+    """``module.function`` for one code object. Cached: building the
+    name costs microseconds a frame, and a sample walks every frame
+    while holding the GIL the profiled thread is waiting for."""
     return f"{Path(code.co_filename).stem}.{code.co_name}"
 
 
@@ -50,7 +54,7 @@ def _collapse(frame) -> str:
     """Render a frame chain root-first as ``a.f;b.g;c.h``."""
     names = []
     while frame is not None:
-        names.append(_frame_name(frame))
+        names.append(_code_name(frame.f_code))
         frame = frame.f_back
     names.reverse()
     if len(names) > MAX_DEPTH:

@@ -66,7 +66,7 @@ class SurrogateEngine:
             fp = self._netlist_fp = netlist_fingerprint(netlist)
         X = np.stack([self.featurizer.features(netlist, c, netlist_fp=fp)
                       for c in corners])
-        mean, std = self.model.predict_batch(X)
+        mean, std = self.model.predict(X)
         self.predictions += len(corners)
         records = []
         for i, corner in enumerate(corners):

@@ -10,15 +10,15 @@ no later request ever blocks on a retrain) and answers:
   plus the per-objective epistemic spread of the ensemble members;
 * batch queries — ``predict_batch(design, corners)``: **one** stacked
   ensemble forward for all uncached corners
-  (:meth:`~repro.surrogate.models.EnsemblePPAModel.predict_batch` —
+  (:meth:`~repro.surrogate.models.EnsemblePPAModel.predict` —
   batched ``(K, n, d)`` matmuls), never K×N MLP calls.
 
 Identical queries never re-run inference: answers live in a
 content-keyed LRU whose keys include the served model's fingerprint,
 so a refresher swap (:meth:`swap_model`) implicitly invalidates every
-stale entry. Inference runs on the pure-numpy stacked path — it never
-touches the :mod:`repro.nn` autograd state, so it needs no engine
-execution lock.
+stale entry. The ensemble's only forward is the pure-numpy stacked
+path — it never touches the :mod:`repro.nn` autograd state, so it
+needs no engine execution lock.
 
 Every answered request is also scored against the **training
 envelope** the served model was fit inside (the per-feature
@@ -317,7 +317,7 @@ class PredictService:
                 return dict(cached, model=self._model_block(),
                             cached=True)
             X = self._featurize(design, [c])
-            mean, std = model.predict_batch(X)
+            mean, std = model.predict(X)
             entry = self._entry(design, c, mean[0], std[0])
             entry["drift"] = float(self._drift_scores(X)[0])
             self._note_drift([entry["drift"]])
@@ -356,7 +356,7 @@ class PredictService:
                 self._note_drift(replayed)
             if fresh:
                 X = self._featurize(design, [cs[i] for i in fresh])
-                mean, std = model.predict_batch(X)
+                mean, std = model.predict(X)
                 scores = self._drift_scores(X)
                 self._note_drift(scores)
                 for j, i in enumerate(fresh):

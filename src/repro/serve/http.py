@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -206,6 +207,14 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def backend(self):
         return self.server.backend
+
+    def setup(self):
+        super().setup()
+        self.server.conns.add(self.connection)
+
+    def finish(self):
+        self.server.conns.discard(self.connection)
+        super().finish()
 
     def log_message(self, format, *args):   # noqa: A002 — stdlib name
         if getattr(self.server, "verbose", False):
@@ -500,6 +509,7 @@ class StcoServer:
         self.httpd.role = self.role
         self.httpd.verbose = verbose
         self.httpd.sse_heartbeat_s = float(sse_heartbeat_s)
+        self.httpd.conns = set()         # open connections, for close()
         self.host = self.httpd.server_address[0]
         self.port = self.httpd.server_address[1]
         self._thread = None
@@ -524,6 +534,13 @@ class StcoServer:
         self.httpd.closed = True
         self.httpd.shutdown()
         self.httpd.server_close()
+        # A handler idling on a kept-alive socket reads EOF, one
+        # streaming fails its next write: every handler thread ends.
+        for conn in list(self.httpd.conns):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass                     # already gone
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None

@@ -14,19 +14,17 @@ call into a multi-tenant service. One :class:`ServeService` composes
 * N worker threads claiming jobs and running them through
   :func:`repro.api.runner.run`.
 
-Engine executions serialize on one process-wide lock. GNN inference
-does not need it (it runs on plain arrays); three things do:
-GNN training, which reads the process-global autograd mode
-(:data:`repro.nn.tensor._GRAD_ENABLED`); the surrogate ensemble's
-``no_grad`` forward
-(:meth:`repro.surrogate.models.EnsemblePPAModel.predict_members`),
-which flips it; and the workspace's artifact builds, which are not
-synchronised (two jobs could build the same dataset or train the same
-model twice). One at a time is also the faster schedule: on 2 CPUs,
-two concurrent write executions contend for the GIL and each takes
-~2.2× longer, for no more throughput. The service's concurrency win
-comes from admission (submissions never block on running work),
-coalescing, and the shared warm caches — the per-job ``ledger``
+Engine executions serialize on one process-wide lock, for two
+reasons. The workspace's artifact builds are not synchronised: two
+jobs could build the same dataset or train the same model twice. And
+one at a time is the faster schedule: on 2 CPUs, two concurrent write
+executions contend for the GIL and each takes ~2.2× longer, for no
+more throughput. Autograd is not a reason: grad mode is per thread
+(:class:`repro.nn.no_grad` in one job cannot change what another
+records), and GNN and surrogate-ensemble inference run on plain
+arrays. The service's concurrency win comes from admission
+(submissions never block on running work), coalescing, and the
+shared warm caches — the per-job ``ledger``
 records queue wait, lock wait and execution seconds separately so that
 split stays observable.
 

@@ -148,6 +148,44 @@ class EnsemblePPAModel:
             for k in range(cfg.members)]
         self._in_dim = in_dim
 
+    @staticmethod
+    def _rows(X, Y, width=None):
+        """Validated float ``(X, Y)``; ``width`` pins X's column count."""
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if len(X) == 0:
+            raise ValueError("cannot fit a surrogate on zero rows")
+        if X.ndim != 2 or Y.ndim != 2 or Y.shape[1] != len(TARGET_NAMES) \
+                or width not in (None, X.shape[1]):
+            raise ValueError(
+                f"expected X (n, {width or 'd'}) and Y "
+                f"(n, {len(TARGET_NAMES)}); got {X.shape} / {Y.shape}")
+        return X, Y
+
+    def _train(self, Z, T, steps: int, bootstrap_seed: int):
+        """Full-batch Adam on every member over normalized rows.
+
+        Member k trains on a bootstrap resample drawn from
+        ``bootstrap_seed + 1000 * k``, so the spread reflects data
+        scarcity, not just init noise.
+        """
+        from ..nn import Adam, Tensor, mse_loss
+        for k, member in enumerate(self._members):
+            rng = np.random.default_rng(bootstrap_seed + 1000 * k)
+            idx = (rng.integers(0, len(Z), size=len(Z))
+                   if len(Z) > 1 else np.zeros(1, dtype=int))
+            xb = Tensor(Z[idx])
+            tb = Tensor(T[idx])
+            opt = Adam(member.parameters(), lr=self.config.lr)
+            for _ in range(steps):
+                opt.zero_grad()
+                loss = mse_loss(member(xb), tb)
+                loss.backward()
+                opt.step()
+        self.trained_rows = len(Z)
+        self._stacked = None
+        return self
+
     def fit(self, X, Y) -> "EnsemblePPAModel":
         """Train every member from scratch on all rows (full batch).
 
@@ -156,36 +194,11 @@ class EnsemblePPAModel:
         count — the property the ``bayes`` optimizer's seeded
         reproducibility rests on.
         """
-        from ..nn import Adam, Tensor, mse_loss
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if len(X) == 0:
-            raise ValueError("cannot fit a surrogate on zero rows")
-        if X.ndim != 2 or Y.ndim != 2 or Y.shape[1] != len(TARGET_NAMES):
-            raise ValueError(
-                f"expected X (n, d) and Y (n, {len(TARGET_NAMES)}); got "
-                f"{X.shape} / {Y.shape}")
+        X, Y = self._rows(X, Y)
         self._build(X.shape[1])
         Z = self._x_norm.fit(X).transform(X)
         T = self._y_norm.fit(Y).transform(Y)
-        cfg = self.config
-        for k, member in enumerate(self._members):
-            # Each member resamples the rows (bootstrap) so the spread
-            # reflects data scarcity, not just init noise.
-            rng = np.random.default_rng(cfg.seed + 1000 * k + 1)
-            idx = (rng.integers(0, len(Z), size=len(Z))
-                   if len(Z) > 1 else np.zeros(1, dtype=int))
-            xb = Tensor(Z[idx])
-            tb = Tensor(T[idx])
-            opt = Adam(member.parameters(), lr=cfg.lr)
-            for _ in range(cfg.epochs):
-                opt.zero_grad()
-                loss = mse_loss(member(xb), tb)
-                loss.backward()
-                opt.step()
-        self.trained_rows = len(X)
-        self._stacked = None
-        return self
+        return self._train(Z, T, self.config.epochs, self.config.seed + 1)
 
     def refit(self, X, Y, epochs: int | None = None) -> "EnsemblePPAModel":
         """Warm-started incremental refit on the full (grown) row set.
@@ -199,36 +212,12 @@ class EnsemblePPAModel:
         """
         if not self.fitted:
             return self.fit(X, Y)
-        from ..nn import Adam, Tensor, mse_loss
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if len(X) == 0:
-            raise ValueError("cannot refit a surrogate on zero rows")
-        if X.ndim != 2 or X.shape[1] != self._in_dim \
-                or Y.ndim != 2 or Y.shape[1] != len(TARGET_NAMES):
-            raise ValueError(
-                f"expected X (n, {self._in_dim}) and Y "
-                f"(n, {len(TARGET_NAMES)}); got {X.shape} / {Y.shape}")
-        Z = self._x_norm.transform(X)
-        T = self._y_norm.transform(Y)
+        X, Y = self._rows(X, Y, width=self._in_dim)
         cfg = self.config
-        steps = cfg.epochs if epochs is None else int(epochs)
-        for k, member in enumerate(self._members):
-            rng = np.random.default_rng(
-                cfg.seed + 1000 * k + 1 + 7919 * len(Z))
-            idx = (rng.integers(0, len(Z), size=len(Z))
-                   if len(Z) > 1 else np.zeros(1, dtype=int))
-            xb = Tensor(Z[idx])
-            tb = Tensor(T[idx])
-            opt = Adam(member.parameters(), lr=cfg.lr)
-            for _ in range(steps):
-                opt.zero_grad()
-                loss = mse_loss(member(xb), tb)
-                loss.backward()
-                opt.step()
-        self.trained_rows = len(X)
-        self._stacked = None
-        return self
+        return self._train(self._x_norm.transform(X),
+                           self._y_norm.transform(Y),
+                           cfg.epochs if epochs is None else int(epochs),
+                           cfg.seed + 1 + 7919 * len(X))
 
     # -- inference ---------------------------------------------------------
     def _stacked_layers(self):
@@ -245,17 +234,19 @@ class EnsemblePPAModel:
                 for i in range(len(per_member[0]))]
         return self._stacked
 
-    def predict_members_batch(self, X) -> np.ndarray:
-        """One stacked ensemble forward: all K members advance together
-        through batched ``(K, n, d) @ (K, d, d')`` matmuls — pure
-        numpy, no autograd graph, no per-member Python loop. Same
-        result as :meth:`predict_members` (members are built with tanh
-        hidden activations), shape ``(members, n, targets)``.
+    def predict_members(self, X) -> np.ndarray:
+        """Per-member predictions, shape ``(members, n, targets)``, in
+        the original (denormalized) log10-objective units.
+
+        One stacked forward: all K members advance together through
+        batched ``(K, n, d) @ (K, d, d')`` matmuls on plain arrays — no
+        autograd graph, no grad-mode switch, no per-member loop. The
+        arithmetic is each member MLP's own (tanh hidden layers), so the
+        outputs equal the members' ``Tensor`` forwards bit for bit.
         """
         if not self.fitted:
             raise RuntimeError("EnsemblePPAModel.predict before fit")
-        X = np.asarray(X, dtype=float)
-        Z = self._x_norm.transform(X)
+        Z = self._x_norm.transform(np.asarray(X, dtype=float))
         H = np.broadcast_to(Z, (len(self._members),) + Z.shape)
         layers = self._stacked_layers()
         for i, (W, b) in enumerate(layers):
@@ -263,26 +254,6 @@ class EnsemblePPAModel:
             if i < len(layers) - 1:
                 H = np.tanh(H)
         return self._y_norm.inverse(H)
-
-    def predict_batch(self, X):
-        """``(mean, std)`` via the stacked forward — the serving path."""
-        preds = self.predict_members_batch(X)
-        return preds.mean(axis=0), preds.std(axis=0)
-
-    def predict_members(self, X) -> np.ndarray:
-        """Per-member predictions, shape ``(members, n, targets)``,
-        in the original (denormalized) log10-objective units."""
-        from ..nn import Tensor, no_grad
-        if not self.fitted:
-            raise RuntimeError("EnsemblePPAModel.predict before fit")
-        X = np.asarray(X, dtype=float)
-        Z = self._x_norm.transform(X)
-        outs = []
-        with no_grad():
-            xt = Tensor(Z)
-            for member in self._members:
-                outs.append(self._y_norm.inverse(member(xt).data))
-        return np.stack(outs)
 
     def predict(self, X):
         """``(mean, std)`` over members — std is the epistemic term."""

@@ -65,7 +65,8 @@ def cluster(make_shards):
     """Two stub shards + a router over them (no router HTTP server)."""
     shards = make_shards(2)
     router = Router({s.name: s.url for s in shards}, timeout_s=10.0)
-    return shards, router
+    yield shards, router
+    router.close()
 
 
 @pytest.fixture

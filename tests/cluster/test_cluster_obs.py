@@ -63,15 +63,15 @@ class TestStitchedTrace:
         router's hop span is a *child* in the client's trace — the
         whole cluster path hangs off the caller."""
         shards, router, server = http_cluster
-        client = ServeClient(server.url, timeout_s=10)
-        job = client.submit(make_config(seed=62))
-        client.wait(job["job_id"], timeout_s=30)
-        tree = _trace_event(client.events(job["job_id"]))["trace"]
-        assert tree["name"] == "router.submit"
-        assert tree["parent_span_id"]     # adopted the client context
-        ids = {node["trace_id"] for node in _walk(tree)
-               if node.get("trace_id")}
-        assert len(ids) == 1              # one trace id, every span
+        with ServeClient(server.url, timeout_s=10) as client:
+            job = client.submit(make_config(seed=62))
+            client.wait(job["job_id"], timeout_s=30)
+            tree = _trace_event(client.events(job["job_id"]))["trace"]
+            assert tree["name"] == "router.submit"
+            assert tree["parent_span_id"]     # adopted the client context
+            ids = {node["trace_id"] for node in _walk(tree)
+                   if node.get("trace_id")}
+            assert len(ids) == 1              # one trace id, every span
 
     def test_shard_keeps_its_own_trace_when_submitted_directly(
             self, cluster):
@@ -79,12 +79,12 @@ class TestStitchedTrace:
         complete single-shard trace — the shard mints its own root."""
         shards, _ = cluster
         shard = shards[0]
-        client = ServeClient(shard.url, timeout_s=10)
-        job = client.submit(make_config(seed=63))
-        client.wait(job["job_id"], timeout_s=30)
-        tree = _trace_event(client.events(job["job_id"]))["trace"]
-        assert tree["name"] == "serve.job"
-        assert tree["trace_id"] and len(tree["trace_id"]) == 32
+        with ServeClient(shard.url, timeout_s=10) as client:
+            job = client.submit(make_config(seed=63))
+            client.wait(job["job_id"], timeout_s=30)
+            tree = _trace_event(client.events(job["job_id"]))["trace"]
+            assert tree["name"] == "serve.job"
+            assert tree["trace_id"] and len(tree["trace_id"]) == 32
 
     def test_graft_attaches_twin_at_its_parent_span(self):
         tree = {"name": "router.submit", "span_id": "aa",
@@ -169,48 +169,48 @@ class TestSseProxy:
             shard.server.httpd.sse_heartbeat_s = 0.2
         gated = shards[0].runner
         gated.gate = threading.Event()
-        client = ServeClient(server.url, timeout_s=10)
-        job = client.submit(config_for_shard(router, shards[0].name))
-        got = []
+        with ServeClient(server.url, timeout_s=10) as client:
+            job = client.submit(config_for_shard(router, shards[0].name))
+            got = []
 
-        def consume():
-            for item in client.events(job["job_id"], stream=True,
-                                      heartbeats=True):
-                got.append(item)
-                if item["event"] == "heartbeat":
-                    gated.gate.set()     # saw liveness: let it finish
+            def consume():
+                for item in client.events(job["job_id"], stream=True,
+                                          heartbeats=True):
+                    got.append(item)
+                    if item["event"] == "heartbeat":
+                        gated.gate.set()     # saw liveness: let it finish
 
-        worker = threading.Thread(target=consume, daemon=True)
-        worker.start()
-        worker.join(30)
-        try:
-            assert not worker.is_alive()
-            kinds = [g["event"] for g in got]
-            assert "heartbeat" in kinds
-            assert got[-1]["event"] == "end"
-            assert got[-1]["data"]["state"] == "succeeded"
-        finally:
-            gated.gate.set()
+            worker = threading.Thread(target=consume, daemon=True)
+            worker.start()
+            worker.join(30)
+            try:
+                assert not worker.is_alive()
+                kinds = [g["event"] for g in got]
+                assert "heartbeat" in kinds
+                assert got[-1]["event"] == "end"
+                assert got[-1]["data"]["state"] == "succeeded"
+            finally:
+                gated.gate.set()
 
     def test_follower_replays_its_leaders_feed(self, http_cluster):
         shards, router, server = http_cluster
         for shard in shards:
             shard.runner.gate = threading.Event()
-        client = ServeClient(server.url, timeout_s=10)
-        config = make_config(seed=67)
-        try:
-            leader = client.submit(config)
-            follower = client.submit(config)    # coalesces globally
-        finally:
-            for shard in shards:
-                shard.runner.gate.set()
-        assert follower["job_id"] != leader["job_id"]
-        got = list(client.events(follower["job_id"], stream=True))
-        kinds = [g["event"] for g in got]
-        assert "trace" in kinds           # the leader's full feed
-        assert got[-1]["event"] == "end"
-        assert got[-1]["data"]["source"] == leader["job_id"]
-        assert got[-1]["data"]["state"] == "succeeded"
+        with ServeClient(server.url, timeout_s=10) as client:
+            config = make_config(seed=67)
+            try:
+                leader = client.submit(config)
+                follower = client.submit(config)    # coalesces globally
+            finally:
+                for shard in shards:
+                    shard.runner.gate.set()
+            assert follower["job_id"] != leader["job_id"]
+            got = list(client.events(follower["job_id"], stream=True))
+            kinds = [g["event"] for g in got]
+            assert "trace" in kinds           # the leader's full feed
+            assert got[-1]["event"] == "end"
+            assert got[-1]["data"]["source"] == leader["job_id"]
+            assert got[-1]["data"]["state"] == "succeeded"
 
     def test_mid_stream_shard_death_is_an_error_event(
             self, http_cluster, monkeypatch):
@@ -220,11 +220,11 @@ class TestSseProxy:
             yield {"event": "progress", "data": {"round": 1}}
             raise ConnectionResetError("shard went away")
         monkeypatch.setattr(router, "event_stream", dying_stream)
-        client = ServeClient(server.url, timeout_s=10)
-        got = list(client.events("j-doomed", stream=True))
-        assert [g["event"] for g in got] == ["progress", "error"]
-        assert "ConnectionResetError" in got[-1]["data"]["error"]
-        assert got[-1]["data"]["job_id"] == "j-doomed"
+        with ServeClient(server.url, timeout_s=10) as client:
+            got = list(client.events("j-doomed", stream=True))
+            assert [g["event"] for g in got] == ["progress", "error"]
+            assert "ConnectionResetError" in got[-1]["data"]["error"]
+            assert got[-1]["data"]["job_id"] == "j-doomed"
 
     def test_upstream_eof_without_end_is_an_error_event(
             self, http_cluster, monkeypatch):
@@ -235,7 +235,7 @@ class TestSseProxy:
         def truncated_stream(job_id):
             yield {"event": "progress", "data": {"round": 1}}
         monkeypatch.setattr(router, "event_stream", truncated_stream)
-        client = ServeClient(server.url, timeout_s=10)
-        got = list(client.events("j-cut", stream=True))
-        assert [g["event"] for g in got] == ["progress", "error"]
-        assert "terminal state" in got[-1]["data"]["error"]
+        with ServeClient(server.url, timeout_s=10) as client:
+            got = list(client.events("j-cut", stream=True))
+            assert [g["event"] for g in got] == ["progress", "error"]
+            assert "terminal state" in got[-1]["data"]["error"]

@@ -99,9 +99,10 @@ class TestRouting:
         owner.service.wait(job["job_id"], timeout=10)
         # A freshly built router (e.g. after restart) has no location
         # cache; the probe must still find the job.
-        fresh = Router({s.name: s.url for s in shards}, timeout_s=10.0)
-        assert fresh.locate(job["job_id"]) == job["shard"]
-        assert fresh.job(job["job_id"])["state"] == "succeeded"
+        with Router({s.name: s.url for s in shards},
+                    timeout_s=10.0) as fresh:
+            assert fresh.locate(job["job_id"]) == job["shard"]
+            assert fresh.job(job["job_id"])["state"] == "succeeded"
 
     def test_unknown_job_is_a_404_not_a_shrug(self, cluster):
         _, router = cluster
@@ -238,13 +239,13 @@ class TestMembership:
 class TestRouterHttp:
     def test_submit_and_read_through_http(self, http_cluster):
         shards, router, server = http_cluster
-        client = ServeClient(server.url, timeout_s=10)
-        job = client.submit(make_config(seed=41))
-        assert job["shard"] in {s.name for s in shards}
-        done = client.wait(job["job_id"], timeout_s=30)
-        assert done["state"] == "succeeded"
-        assert done["shard"] == job["shard"]
-        assert client.job(job["job_id"])["report"]["best_reward"] == 3.0
+        with ServeClient(server.url, timeout_s=10) as client:
+            job = client.submit(make_config(seed=41))
+            assert job["shard"] in {s.name for s in shards}
+            done = client.wait(job["job_id"], timeout_s=30)
+            assert done["state"] == "succeeded"
+            assert done["shard"] == job["shard"]
+            assert client.job(job["job_id"])["report"]["best_reward"] == 3.0
 
     def test_bare_config_submission(self, http_cluster):
         _, _, server = http_cluster
@@ -259,12 +260,12 @@ class TestRouterHttp:
 
     def test_event_stream_passthrough(self, http_cluster):
         shards, router, server = http_cluster
-        client = ServeClient(server.url, timeout_s=10)
-        job = client.submit(make_config(seed=43))
-        events = list(client.events(job["job_id"], stream=True))
-        assert events[-1]["event"] == "end"
-        assert events[-1]["data"]["state"] == "succeeded"
-        assert "progress" in {e["event"] for e in events}
+        with ServeClient(server.url, timeout_s=10) as client:
+            job = client.submit(make_config(seed=43))
+            events = list(client.events(job["job_id"], stream=True))
+            assert events[-1]["event"] == "end"
+            assert events[-1]["data"]["state"] == "succeeded"
+            assert "progress" in {e["event"] for e in events}
 
     def test_cluster_topology_endpoint(self, http_cluster):
         shards, _, server = http_cluster
@@ -317,8 +318,8 @@ class TestRouterHttp:
         assert headers["Retry-After"] == "5"
         assert doc["health"] == "unhealthy"     # body still present
         # The client treats the 503-with-document as an answer.
-        assert ServeClient(server.url).health()["health"] \
-            == "unhealthy"
+        with ServeClient(server.url) as client:
+            assert client.health()["health"] == "unhealthy"
 
     def test_shard_error_forwarded_verbatim(self, http_cluster):
         _, _, server = http_cluster
@@ -338,6 +339,7 @@ class TestRouterHttp:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=10)
+            err.value.close()
             assert err.value.code == 400
 
     def test_join_extends_the_cluster(self, http_cluster, make_shards):
@@ -373,6 +375,7 @@ class TestRouterHttpHardening:
         for path in paths:
             with pytest.raises(urllib.error.HTTPError) as exc:
                 urllib.request.urlopen(server.url + path, timeout=10)
+            exc.value.close()
             assert exc.value.code == 404
         assert len(family.children()) - before <= 2
         routes = {labels["route"] for labels, _ in family.children()}

@@ -1,12 +1,15 @@
 """Gradient and semantics tests for the autograd Tensor."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, is_grad_enabled, no_grad
 
 from .gradcheck import check_gradients
 
@@ -175,6 +178,13 @@ class TestGraphMechanics:
         assert not out.requires_grad
         assert out._backward is None
 
+    def test_no_grad_restores_outer_mode(self):
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
     def test_detach(self):
         t = Tensor(np.ones(3), requires_grad=True)
         d = t.detach()
@@ -188,6 +198,67 @@ class TestGraphMechanics:
         assert t.grad is not None
         t.zero_grad()
         assert t.grad is None
+
+
+class TestGradModePerThread:
+    """Grad mode is thread-local: ``no_grad`` in one thread never stops
+    another thread's graph from recording (hammered under a 10 µs GIL
+    switch interval so the threads interleave inside each other's
+    ``no_grad`` blocks)."""
+
+    THREADS = 6
+    ROUNDS = 300
+
+    def test_no_grad_never_leaks_across_threads(self):
+        errors = []
+        start = threading.Barrier(self.THREADS)
+
+        def quiet(tid):
+            start.wait()
+            for i in range(self.ROUNDS):
+                with no_grad():
+                    out = Tensor(np.ones(3), requires_grad=True) * 2.0
+                    if is_grad_enabled() or out.requires_grad:
+                        errors.append(f"quiet {tid} round {i}: recording")
+                if not is_grad_enabled():
+                    errors.append(f"quiet {tid} round {i}: not restored")
+
+        def learner(tid):
+            rng = np.random.default_rng(tid)
+            start.wait()
+            for i in range(self.ROUNDS):
+                x = rng.normal(size=(4, 3))
+                w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+                (Tensor(x) @ w).tanh().sum().backward()
+                expected = x.T @ (1.0 - np.tanh(x @ w.data) ** 2)
+                if not is_grad_enabled() or w.grad is None \
+                        or not np.allclose(w.grad, expected):
+                    errors.append(f"learner {tid} round {i}: no gradient")
+
+        threads = [threading.Thread(target=quiet if t % 2 else learner,
+                                    args=(t,))
+                   for t in range(self.THREADS)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors, errors[:5]
+        assert is_grad_enabled()
+
+    def test_new_thread_starts_recording(self):
+        seen = []
+        with no_grad():
+            worker = threading.Thread(
+                target=lambda: seen.append(is_grad_enabled()))
+            worker.start()
+            worker.join()
+            assert not is_grad_enabled()
+        assert seen == [True]
 
 
 @settings(max_examples=25, deadline=None)

@@ -32,6 +32,13 @@ class TestSamplingProfiler:
                   if "spin_for" in stack)
         assert hot >= 0.5 * profile.attributed_s
 
+    def test_frames_are_named_module_dot_function(self):
+        prof = SamplingProfiler(interval_s=0.002).start()
+        spin_for(0.1)
+        profile = prof.stop()
+        assert any("test_prof.spin_for" in stack.split(";")
+                   for stack in profile.stacks)
+
     def test_profiles_another_thread(self):
         ready, done = threading.Event(), threading.Event()
 

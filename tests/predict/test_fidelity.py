@@ -144,12 +144,12 @@ class TestEscalationEconomics:
 
         # A user racing the gate with the identical engine document
         # lands on the same job too.
-        direct = ServeClient(server.url).submit(
-            escalation_config(cfg).to_dict())
-        assert direct["coalesced_with"] == job_id
+        with ServeClient(server.url) as client:
+            direct = client.submit(escalation_config(cfg).to_dict())
+            assert direct["coalesced_with"] == job_id
 
-        runner.gate.set()
-        job = ServeClient(server.url).wait(job_id, timeout_s=30)
+            runner.gate.set()
+            job = client.wait(job_id, timeout_s=30)
         assert job["state"] == "succeeded"
         assert len(runner.calls) == 1
 
@@ -167,15 +167,15 @@ class TestEscalationEconomics:
         with trace_context(ctx):
             unc = run(cfg, predict_ws).uncertainty
         assert unc["escalated"] is True
-        client = ServeClient(server.url)
-        client.wait(unc["escalated_job_id"], timeout_s=30)
-        events = client.events(unc["escalated_job_id"])
-        tree = [e for e in events
-                if isinstance(e, dict)
-                and e.get("kind") == "trace"][-1]["trace"]
-        assert tree["name"] == "serve.job"
-        assert tree["trace_id"] == ctx.trace_id
-        assert tree["parent_span_id"] == ctx.span_id
+        with ServeClient(server.url) as client:
+            client.wait(unc["escalated_job_id"], timeout_s=30)
+            events = client.events(unc["escalated_job_id"])
+            tree = [e for e in events
+                    if isinstance(e, dict)
+                    and e.get("kind") == "trace"][-1]["trace"]
+            assert tree["name"] == "serve.job"
+            assert tree["trace_id"] == ctx.trace_id
+            assert tree["parent_span_id"] == ctx.span_id
 
     def test_confident_run_never_escalates(self, predict_ws,
                                            stub_server):

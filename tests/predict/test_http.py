@@ -22,7 +22,8 @@ def test_routes_declare_both_predict_endpoints():
 def served(predict_ws):
     service = ServeService(predict_ws, workers=1)
     server = StcoServer(service).start()
-    yield ServeClient(server.url), server
+    with ServeClient(server.url) as client:
+        yield client, server
     server.close()
     service.close(timeout=10)
 
@@ -82,8 +83,9 @@ class TestShardEndpoints:
         service = ServeService(Workspace(tmp_path / "ws"), workers=1)
         server = StcoServer(service).start()
         try:
-            with pytest.raises(ServeClientError) as exc:
-                ServeClient(server.url).predict(DESIGN, CORNER)
+            with ServeClient(server.url) as client, \
+                    pytest.raises(ServeClientError) as exc:
+                client.predict(DESIGN, CORNER)
             assert exc.value.status == 409
         finally:
             server.close()
@@ -200,16 +202,16 @@ class TestRouterHttp:
                         timeout_s=10.0)
         try:
             with RouterServer(router) as rs:
-                client = ServeClient(rs.url)
-                doc = client.predict(DESIGN, CORNER)
-                assert doc["shard"] == "b"
-                assert doc["prediction"]["delay_s"] > 0
-                batch = client.predict_batch(DESIGN, [CORNER, OTHER])
-                assert batch["count"] == 2
-                with pytest.raises(ServeClientError) as exc:
-                    client._request("POST", "/v1/predict",
-                                    {"design": DESIGN})
-                assert exc.value.status == 400
+                with ServeClient(rs.url) as client:
+                    doc = client.predict(DESIGN, CORNER)
+                    assert doc["shard"] == "b"
+                    assert doc["prediction"]["delay_s"] > 0
+                    batch = client.predict_batch(DESIGN, [CORNER, OTHER])
+                    assert batch["count"] == 2
+                    with pytest.raises(ServeClientError) as exc:
+                        client._request("POST", "/v1/predict",
+                                        {"design": DESIGN})
+                    assert exc.value.status == 400
         finally:
             lacking_srv.close()
             lacking.close(timeout=10)

@@ -49,7 +49,7 @@ class TestRefreshNow:
         service.predict(DESIGN, (0.85, -0.05, 0.9))
         before = service.info()
         stale_model = service.model()
-        stale_std = stale_model.predict_batch(new_X)[1].mean()
+        stale_std = stale_model.predict(new_X)[1].mean()
 
         refresher = ModelRefresher(ws, service=service, delta_rows=1)
         out = refresher.refresh_now()
@@ -62,7 +62,7 @@ class TestRefreshNow:
 
         # The acceptance property: epistemic spread on the corners the
         # engine just ground-truthed strictly decreases.
-        fresh_std = service.model().predict_batch(new_X)[1].mean()
+        fresh_std = service.model().predict(new_X)[1].mean()
         assert fresh_std < stale_std
 
         # Swap is visible to requests immediately (and the LRU key

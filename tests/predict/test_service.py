@@ -128,7 +128,7 @@ class TestPrediction:
         doc = service.predict(DESIGN, CORNER)
         model = service.model()
         X = service._featurize(DESIGN, [_corner(CORNER)])
-        _, std = model.predict_batch(X)
+        _, std = model.predict(X)
         assert doc["uncertainty"]["log_power"] == \
             pytest.approx(float(std[0, 0]))
 

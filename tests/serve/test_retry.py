@@ -396,3 +396,20 @@ class TestOneConnection:
             server.close()
             with pytest.raises(ConnectionRefusedError):
                 client.health()
+
+    def test_closed_server_ends_its_idle_handler_threads(self,
+                                                         make_service):
+        """Each idle pooled connection parks one handler thread in a
+        read, holding its socket; closing the server ends them."""
+        service = make_service(StubRunner(), workers=1)
+        before = set(threading.enumerate())
+        server = StcoServer(service).start()
+        with ServeClient(server.url) as client:
+            client.health()
+            handlers = [t for t in set(threading.enumerate()) - before
+                        if t.name.endswith("(process_request_thread)")]
+            assert len(handlers) == 1
+            server.close()
+            for t in handlers:
+                t.join(timeout=1.0)
+            assert not any(t.is_alive() for t in handlers)

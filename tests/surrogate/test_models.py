@@ -1,8 +1,14 @@
 """Surrogate regressors: ridge baseline, deep ensemble, persistence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.nn import Tensor, no_grad
 from repro.surrogate import (EnsembleConfig, EnsemblePPAModel,
                              RidgeSurrogate)
 
@@ -79,33 +85,112 @@ class TestEnsemble:
                                         np.zeros((4, 2)))
 
 
+def member_loop(model, X) -> np.ndarray:
+    """The per-member ``Tensor`` forward the stacked one replaced, kept
+    here as the reference: each MLP under ``no_grad``, denormalized."""
+    Z = model._x_norm.transform(np.asarray(X, dtype=float))
+    with no_grad():
+        xt = Tensor(Z)
+        return np.stack([model._y_norm.inverse(member(xt).data)
+                         for member in model._members])
+
+
+#: (members, depth, hidden, training rows, input width, query rows) —
+#: every value of every axis appears at least once.
+SWEEP = [(1, 1, 4, 1, 3, 1), (3, 2, 12, 7, 6, 64),
+         (5, 3, 32, 200, 11, 2079), (3, 1, 32, 1, 11, 7),
+         (5, 2, 4, 200, 3, 333), (1, 3, 16, 24, 6, 2079),
+         (3, 3, 8, 50, 3, 1), (5, 1, 12, 3, 6, 128),
+         (1, 2, 32, 120, 11, 17)]
+
+
+def sweep_mismatches() -> list:
+    """Sweep cases where the stacked forward differs from the loop."""
+    bad = []
+    for members, depth, hidden, rows, width, queries in SWEEP:
+        rng = np.random.default_rng(rows * 31 + width)
+        X = rng.uniform(-1.0, 1.0, size=(rows, width))
+        Y = np.column_stack([X.sum(axis=1), np.sin(X[:, 0]),
+                             X[:, -1] ** 2]) - 5.0
+        model = EnsemblePPAModel(EnsembleConfig(
+            members=members, depth=depth, hidden=hidden, epochs=10,
+            seed=rows)).fit(X, Y)
+        Xq = rng.uniform(-1.5, 1.5, size=(queries, width))
+        if not np.array_equal(model.predict_members(Xq),
+                              member_loop(model, Xq)):
+            bad.append((members, depth, hidden, rows, width, queries))
+    return bad
+
+
 class TestStackedForward:
     def test_matches_per_member_loop_exactly(self):
         """The (K, n, d) stacked path is the same arithmetic as the
         per-member MLP loop — bit-identical, not just close."""
+        assert sweep_mismatches() == []
         X, Y = synthetic_rows(24, seed=1)
         model = EnsemblePPAModel(SMALL).fit(X, Y)
         Xt, _ = synthetic_rows(15, seed=4)
-        np.testing.assert_array_equal(model.predict_members_batch(Xt),
-                                      model.predict_members(Xt))
-        mean_b, std_b = model.predict_batch(Xt)
+        ref = member_loop(model, Xt)
         mean, std = model.predict(Xt)
-        np.testing.assert_array_equal(mean_b, mean)
-        np.testing.assert_array_equal(std_b, std)
+        np.testing.assert_array_equal(mean, ref.mean(axis=0))
+        np.testing.assert_array_equal(std, ref.std(axis=0))
+
+    def test_matches_loop_on_one_blas_thread(self):
+        """Same sweep with BLAS pinned to one thread (a fresh process:
+        the thread count is read when numpy loads)."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               str(root)]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.surrogate.test_models import sweep_mismatches;"
+             "print(sweep_mismatches())"],
+            cwd=root, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_predict_builds_no_tensor_and_keeps_grad_mode(self,
+                                                          monkeypatch):
+        import repro.nn.tensor as tensor_mod
+        X, Y = synthetic_rows(24, seed=1)
+        model = EnsemblePPAModel(SMALL).fit(X, Y)
+        Xt, _ = synthetic_rows(9, seed=5)
+        expected = member_loop(model, Xt)
+
+        def no_tensor(self, *args, **kwargs):
+            raise AssertionError("predict built a Tensor")
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError("predict read the grad mode")
+
+            def __setattr__(self, name, value):
+                raise AssertionError("predict set the grad mode")
+
+        monkeypatch.setattr(tensor_mod.Tensor, "__init__", no_tensor)
+        monkeypatch.setattr(tensor_mod, "_GRAD_MODE", Untouchable())
+        np.testing.assert_array_equal(model.predict_members(Xt), expected)
+        mean, std = model.predict(Xt)
+        np.testing.assert_array_equal(mean, expected.mean(axis=0))
 
     def test_survives_npz_round_trip(self, tmp_path):
+        """A float64 ``.npz`` round trip is exact, so the reloaded
+        ensemble predicts bit for bit what the saved one did."""
         X, Y = synthetic_rows(24, seed=1)
         model = EnsemblePPAModel(SMALL).fit(X, Y)
         path = tmp_path / "e.npz"
         model.save(path)
         loaded = EnsemblePPAModel.load(path)
         Xt, _ = synthetic_rows(9, seed=5)
-        np.testing.assert_allclose(loaded.predict_batch(Xt)[0],
-                                   model.predict_batch(Xt)[0])
+        np.testing.assert_array_equal(loaded.predict_members(Xt),
+                                      model.predict_members(Xt))
 
     def test_requires_fit(self):
         with pytest.raises(RuntimeError, match="before fit"):
-            EnsemblePPAModel(SMALL).predict_batch(np.zeros((2, 3)))
+            EnsemblePPAModel(SMALL).predict(np.zeros((2, 3)))
 
 
 class TestRefit:
@@ -163,10 +248,10 @@ class TestPersistence:
         model.save(path)
         loaded = EnsemblePPAModel.load(path)
         Xt, _ = synthetic_rows(10, seed=4)
-        np.testing.assert_allclose(loaded.predict(Xt)[0],
-                                   model.predict(Xt)[0])
-        np.testing.assert_allclose(loaded.predict(Xt)[1],
-                                   model.predict(Xt)[1])
+        np.testing.assert_array_equal(loaded.predict(Xt)[0],
+                                      model.predict(Xt)[0])
+        np.testing.assert_array_equal(loaded.predict(Xt)[1],
+                                      model.predict(Xt)[1])
         assert loaded.fingerprint() == model.fingerprint()
         assert loaded.trained_rows == 24
         assert loaded.config == model.config
