@@ -14,8 +14,10 @@ harvesting engine run, and measures end-to-end request latency through
   wall / N) — the best the *engine* path can ever do;
 * ``predict_single`` — repeated ``POST /v1/predict`` calls cycling a
   small corner set (so the LRU participates, as in production);
-* ``predict_batch`` — one ``POST /v1/predict/batch`` with a large
-  corner grid: a single stacked ensemble forward.
+* ``predict_batch`` — ``POST /v1/predict/batch`` requests, each with
+  its own large corner grid (so the LRU answers none of them): a single
+  stacked ensemble forward each. The recorded wall is the median
+  request's, so one slow request cannot decide the batch ratio.
 
 Acceptance (machine-independent ratios):
 
@@ -45,6 +47,7 @@ DESIGN = "s298"
 COALESCED_CLIENTS = 8
 SINGLE_REQUESTS = 40
 BATCH_CORNERS = 64
+BATCH_REQUESTS = 5
 
 # The corner grid of the harvesting run; warm requests and predict
 # queries stay inside it so every engine artifact is a cache hit.
@@ -125,15 +128,22 @@ def test_predict_latency(tmp_path):
                 "p50_s": _percentile(lat, 0.50),
                 "p90_s": _percentile(lat, 0.90)}
 
-            # 4) One batched request over a dense corner grid.
-            grid = [(0.85 + 0.005 * i, -0.05, 0.9)
-                    for i in range(BATCH_CORNERS)]
-            t0 = time.perf_counter()
-            batch = client.predict_batch(DESIGN, grid)
-            wall = time.perf_counter() - t0
-            assert batch["count"] == BATCH_CORNERS
-            runs["predict_batch"] = {"wall_s": wall,
-                                     "requests": BATCH_CORNERS}
+            # 4) Batched requests, each over its own dense corner grid
+            #    (a distinct Vth per request, none of the single-predict
+            #    corners' ±0.05, so every corner is fresh).
+            walls = []
+            for j in range(BATCH_REQUESTS):
+                grid = [(0.85 + 0.005 * i, -0.04 + 0.01 * j, 0.9)
+                        for i in range(BATCH_CORNERS)]
+                t0 = time.perf_counter()
+                batch = client.predict_batch(DESIGN, grid)
+                walls.append(time.perf_counter() - t0)
+                assert batch["count"] == BATCH_CORNERS
+                assert not any(e["cached"] for e in batch["predictions"])
+            walls.sort()
+            runs["predict_batch"] = {"wall_s": walls[len(walls) // 2],
+                                     "requests": BATCH_CORNERS,
+                                     "batch_walls_s": walls}
     finally:
         service.close(timeout=30)
 

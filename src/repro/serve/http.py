@@ -91,6 +91,7 @@ from __future__ import annotations
 import json
 import math
 import socket
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -101,6 +102,11 @@ __all__ = ["ApiError", "ROUTER", "ROUTES", "SHARD", "StcoServer",
            "TABLE", "routes"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: How long a kept-alive connection may sit between requests before its
+#: handler thread closes it and ends. A client that finds its pooled
+#: connection closed reopens it without spending a retry.
+_IDLE_TIMEOUT_S = 120.0
 
 SHARD, ROUTER = "shard", "router"
 
@@ -210,6 +216,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def setup(self):
         super().setup()
+        # The idle bound is the kernel's receive timeout, set once: a
+        # read that waits that long for bytes (in practice, the wait for
+        # the next request) sees end of input, and the handler closes
+        # the connection as after a client hang-up. It never touches a
+        # write, so an event stream is never cut. A Python-level socket
+        # timeout would add a poll and a GIL round trip to every read,
+        # which a request contending with a write execution pays for.
+        seconds, fraction = divmod(_IDLE_TIMEOUT_S, 1.0)
+        self.connection.setsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+            struct.pack("ll", int(seconds), int(fraction * 1e6)))
         self.server.conns.add(self.connection)
 
     def finish(self):

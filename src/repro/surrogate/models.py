@@ -53,6 +53,16 @@ class EnsembleConfig:
             raise ValueError("ensemble members need hidden >= 1, depth >= 1")
 
 
+def _carve(buf: np.ndarray, shapes) -> list:
+    """``[(W, b), ...]`` views into the flat ``buf``, one pair per layer."""
+    views, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buf[at:at + size].reshape(shape))
+        at += size
+    return list(zip(views[::2], views[1::2]))
+
+
 class _Standardizer:
     """Per-column mean/std affine map (degenerate columns pass through)."""
 
@@ -147,6 +157,7 @@ class EnsemblePPAModel:
                 rng=np.random.default_rng(cfg.seed + 1000 * k))
             for k in range(cfg.members)]
         self._in_dim = in_dim
+        self._stacked = None
 
     @staticmethod
     def _rows(X, Y, width=None):
@@ -163,27 +174,63 @@ class EnsemblePPAModel:
         return X, Y
 
     def _train(self, Z, T, steps: int, bootstrap_seed: int):
-        """Full-batch Adam on every member over normalized rows.
+        """Full-batch training of all K members at once, on plain arrays.
 
         Member k trains on a bootstrap resample drawn from
         ``bootstrap_seed + 1000 * k``, so the spread reflects data
-        scarcity, not just init noise.
+        scarcity, not just init noise. The resamples stack to
+        ``(K, n, d)`` and every step is one batched forward, the
+        hand-written backward of its mean-squared error and one
+        adaptive-moment update (Kingma & Ba: betas 0.9/0.999, eps 1e-8,
+        fresh moments per call) over a flat buffer whose views are the
+        stacked weights. Each operation is the one the autograd graph
+        of a per-member loop performs, in the same order, so the
+        trained weights equal that loop's bit for bit.
         """
-        from ..nn import Adam, Tensor, mse_loss
-        for k, member in enumerate(self._members):
-            rng = np.random.default_rng(bootstrap_seed + 1000 * k)
-            idx = (rng.integers(0, len(Z), size=len(Z))
-                   if len(Z) > 1 else np.zeros(1, dtype=int))
-            xb = Tensor(Z[idx])
-            tb = Tensor(T[idx])
-            opt = Adam(member.parameters(), lr=self.config.lr)
-            for _ in range(steps):
-                opt.zero_grad()
-                loss = mse_loss(member(xb), tb)
-                loss.backward()
-                opt.step()
-        self.trained_rows = len(Z)
-        self._stacked = None
+        start = [a for layer in self._stacked_layers() for a in layer]
+        shapes = [a.shape for a in start]
+        params = np.concatenate([a.ravel() for a in start])
+        grads = np.empty_like(params)
+        layers, grad_layers = _carve(params, shapes), _carve(grads, shapes)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, self.config.lr
+
+        n = len(Z)
+        idx = np.stack([
+            np.random.default_rng(bootstrap_seed + 1000 * k)
+            .integers(0, n, size=n) if n > 1 else np.zeros(1, dtype=int)
+            for k in range(len(self._members))])
+        X, Tb = Z[idx], T[idx]
+        scale = 1.0 / Tb[0].size        # the loss: mean over rows x targets
+        last = len(layers) - 1
+        for t in range(1, steps + 1):
+            acts = [X]                  # each layer's input
+            for i, (W, b) in enumerate(layers):
+                H = acts[-1] @ W + b
+                acts.append(np.tanh(H) if i < last else H)
+            g = (acts.pop() - Tb) * scale
+            G = g + g                   # d(diff * diff) reaches diff twice
+            for i in range(last, -1, -1):
+                W, _ = layers[i]
+                gW, gb = grad_layers[i]
+                np.matmul(np.swapaxes(acts[i], -1, -2), G, out=gW)
+                np.sum(G, axis=1, keepdims=True, out=gb)
+                if i:
+                    G = (G @ np.swapaxes(W, -1, -2)) * (1.0 - acts[i] ** 2)
+            bias1 = 1.0 - beta1 ** t
+            bias2 = 1.0 - beta2 ** t
+            m *= beta1
+            m += (1 - beta1) * grads
+            v *= beta2
+            v += (1 - beta2) * grads * grads
+            params -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+        for k, member_layers in enumerate(self._member_linears()):
+            for lin, (W, b) in zip(member_layers, layers):
+                lin.weight.data = W[k].copy()
+                lin.bias.data = b[k, 0].copy()
+        self._stacked = layers
+        self.trained_rows = n
         return self
 
     def fit(self, X, Y) -> "EnsemblePPAModel":
@@ -204,7 +251,7 @@ class EnsemblePPAModel:
         """Warm-started incremental refit on the full (grown) row set.
 
         Members keep their current weights and the fitted normalizers,
-        then continue Adam training — cheap enough to run on every
+        then continue training — cheap enough to run on every
         record-store delta, so a served model tracks harvested engine
         truth without periodic full retrains. Falls back to
         :meth:`fit` when the ensemble is untrained. Deterministic: the
@@ -220,13 +267,17 @@ class EnsemblePPAModel:
                            cfg.seed + 1 + 7919 * len(X))
 
     # -- inference ---------------------------------------------------------
+    def _member_linears(self):
+        """Each member's ``Linear`` layers, input to output."""
+        from ..nn.layers import Linear
+        return [[m for m in member.net if isinstance(m, Linear)]
+                for member in self._members]
+
     def _stacked_layers(self):
         """Per-layer ``(W, b)`` arrays stacked across members, cached
         until the weights change (fit / refit / load)."""
         if self._stacked is None:
-            from ..nn.layers import Linear
-            per_member = [[m for m in member.net if isinstance(m, Linear)]
-                          for member in self._members]
+            per_member = self._member_linears()
             self._stacked = [
                 (np.stack([layers[i].weight.data for layers in per_member]),
                  np.stack([layers[i].bias.data
@@ -242,7 +293,7 @@ class EnsemblePPAModel:
         batched ``(K, n, d) @ (K, d, d')`` matmuls on plain arrays — no
         autograd graph, no grad-mode switch, no per-member loop. The
         arithmetic is each member MLP's own (tanh hidden layers), so the
-        outputs equal the members' ``Tensor`` forwards bit for bit.
+        outputs equal the members' autograd forwards bit for bit.
         """
         if not self.fitted:
             raise RuntimeError("EnsemblePPAModel.predict before fit")

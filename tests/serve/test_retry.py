@@ -20,6 +20,7 @@ import urllib.error
 import pytest
 
 import repro.serve.client as client_module
+import repro.serve.http as serve_http
 from repro.serve import ServeClient, StcoServer
 from repro.serve.client import ServeClientError
 from tests.serve.conftest import StubRunner, make_config
@@ -413,3 +414,46 @@ class TestOneConnection:
             for t in handlers:
                 t.join(timeout=1.0)
             assert not any(t.is_alive() for t in handlers)
+
+
+class TestIdleTimeout:
+    """A kept-alive connection idle past the timeout is reaped; a
+    request in flight and an event stream are not."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(serve_http, "_IDLE_TIMEOUT_S", 0.2)
+
+    def test_idle_handler_ends_and_client_reconnects(self, make_service):
+        service = make_service(StubRunner(), workers=1)
+        before = set(threading.enumerate())
+        with StcoServer(service) as server, \
+                ServeClient(server.url, retries=0) as client:
+            client.health()
+            (pooled,) = client._idle
+            handlers = [t for t in set(threading.enumerate()) - before
+                        if t.name.endswith("(process_request_thread)")]
+            assert len(handlers) == 1
+            handlers[0].join(timeout=5.0)
+            # The server is still up; only the idle handler is gone.
+            assert not handlers[0].is_alive()
+            assert not server.httpd.conns
+            # The reaped pooled connection is reopened, retry-free.
+            assert client.health()["status"] == "ok"
+            assert pooled not in client._idle
+
+    def test_stream_quieter_than_the_timeout_is_not_cut(self,
+                                                        make_service):
+        runner = StubRunner(rounds=1)
+        gate = runner.gate = threading.Event()
+        service = make_service(runner, workers=1)
+        with StcoServer(service, sse_heartbeat_s=5.0) as server, \
+                ServeClient(server.url) as client:
+            job_id = client.submit(make_config(seed=64))["job_id"]
+            assert runner.started.wait(10)
+            events = client.events(job_id, stream=True)
+            threading.Timer(0.8, gate.set).start()   # 4 idle timeouts
+            got = list(events)
+        assert not any(e["event"] == "heartbeat" for e in got)
+        assert got[-1]["event"] == "end"
+        assert got[-1]["data"]["state"] == "succeeded"

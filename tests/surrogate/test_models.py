@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, no_grad
+from repro.nn import Adam, Tensor, mse_loss, no_grad
 from repro.surrogate import (EnsembleConfig, EnsemblePPAModel,
                              RidgeSurrogate)
 
@@ -122,6 +122,23 @@ def sweep_mismatches() -> list:
     return bad
 
 
+def on_one_blas_thread(sweep: str) -> str:
+    """The printed result of this module's ``sweep()`` with BLAS pinned
+    to one thread (a fresh process: the thread count is read when numpy
+    loads)."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"from tests.surrogate.test_models import {sweep};"
+         f"print({sweep}())"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 class TestStackedForward:
     def test_matches_per_member_loop_exactly(self):
         """The (K, n, d) stacked path is the same arithmetic as the
@@ -136,21 +153,7 @@ class TestStackedForward:
         np.testing.assert_array_equal(std, ref.std(axis=0))
 
     def test_matches_loop_on_one_blas_thread(self):
-        """Same sweep with BLAS pinned to one thread (a fresh process:
-        the thread count is read when numpy loads)."""
-        root = Path(__file__).resolve().parents[2]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([str(root / "src"),
-                                               str(root)]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from tests.surrogate.test_models import sweep_mismatches;"
-             "print(sweep_mismatches())"],
-            cwd=root, env=env, capture_output=True, text=True,
-            timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert on_one_blas_thread("sweep_mismatches") == "[]"
 
     def test_predict_builds_no_tensor_and_keeps_grad_mode(self,
                                                           monkeypatch):
@@ -178,19 +181,104 @@ class TestStackedForward:
 
     def test_survives_npz_round_trip(self, tmp_path):
         """A float64 ``.npz`` round trip is exact, so the reloaded
-        ensemble predicts bit for bit what the saved one did."""
+        ensemble, which restacks from the member parameters, predicts
+        bit for bit what the trained arrays ``fit`` cached do."""
         X, Y = synthetic_rows(24, seed=1)
         model = EnsemblePPAModel(SMALL).fit(X, Y)
+        assert model._stacked is not None   # the trainer's own arrays
         path = tmp_path / "e.npz"
         model.save(path)
         loaded = EnsemblePPAModel.load(path)
         Xt, _ = synthetic_rows(9, seed=5)
-        np.testing.assert_array_equal(loaded.predict_members(Xt),
-                                      model.predict_members(Xt))
+        cached = model.predict_members(Xt)
+        np.testing.assert_array_equal(loaded.predict_members(Xt), cached)
+        np.testing.assert_array_equal(member_loop(model, Xt), cached)
 
     def test_requires_fit(self):
         with pytest.raises(RuntimeError, match="before fit"):
             EnsemblePPAModel(SMALL).predict(np.zeros((2, 3)))
+
+
+def reference_train(model, X, Y, epochs, bootstrap_seed, fresh):
+    """The per-member autograd training loop, kept here as the reference
+    the stacked trainer must equal: each member on its own bootstrap,
+    ``Tensor`` graph, ``mse_loss`` and a fresh ``nn.Adam``."""
+    if fresh:
+        model._build(X.shape[1])
+        model._x_norm.fit(X)
+        model._y_norm.fit(Y)
+    Z, T = model._x_norm.transform(X), model._y_norm.transform(Y)
+    for k, member in enumerate(model._members):
+        rng = np.random.default_rng(bootstrap_seed + 1000 * k)
+        idx = (rng.integers(0, len(Z), size=len(Z))
+               if len(Z) > 1 else np.zeros(1, dtype=int))
+        xb, tb = Tensor(Z[idx]), Tensor(T[idx])
+        opt = Adam(member.parameters(), lr=model.config.lr)
+        for _ in range(epochs):
+            opt.zero_grad()
+            loss = mse_loss(member(xb), tb)
+            loss.backward()
+            opt.step()
+    model._stacked = None
+    model.trained_rows = len(Z)
+    return model
+
+
+#: (members, depth, hidden, training rows); rows = 1 is the
+#: single-row bootstrap branch.
+TRAIN_SWEEP = [(members, depth, hidden, rows)
+               for members in (1, 4) for depth in (1, 3)
+               for hidden, rows in ((8, 1), (16, 7), (4, 300))]
+
+
+def _weights(model) -> list:
+    return [member.state_dict() for member in model._members]
+
+
+def training_mismatches() -> list:
+    """Sweep cases where the stacked trainer differs from the reference
+    loop after a fit, a warm refit or an ``epochs=0`` refit."""
+    bad = []
+    for members, depth, hidden, rows in TRAIN_SWEEP:
+        cfg = EnsembleConfig(members=members, depth=depth, hidden=hidden,
+                             epochs=15, seed=rows)
+        rng = np.random.default_rng(rows)
+        X = rng.uniform(-1.0, 1.0, size=(rows + 5, 4))
+        Y = np.column_stack([X.sum(axis=1), np.sin(X[:, 0]),
+                             X[:, -1] ** 2]) - 5.0
+        model = EnsemblePPAModel(cfg)
+        ref = EnsemblePPAModel(cfg)
+        steps = [
+            ("fit", lambda: model.fit(X[:rows], Y[:rows]),
+             lambda: reference_train(ref, X[:rows], Y[:rows], cfg.epochs,
+                                     cfg.seed + 1, fresh=True)),
+            ("refit", lambda: model.refit(X, Y),
+             lambda: reference_train(ref, X, Y, cfg.epochs,
+                                     cfg.seed + 1 + 7919 * len(X),
+                                     fresh=False)),
+            ("refit0", lambda: model.refit(X[:rows], Y[:rows], epochs=0),
+             lambda: reference_train(ref, X[:rows], Y[:rows], 0,
+                                     cfg.seed + 1 + 7919 * rows,
+                                     fresh=False))]
+        for name, stacked, loop in steps:
+            stacked()
+            loop()
+            same = all(np.array_equal(a[key], b[key])
+                       for a, b in zip(_weights(model), _weights(ref))
+                       for key in a)
+            if not same or model.fingerprint() != ref.fingerprint():
+                bad.append((members, depth, hidden, rows, name))
+    return bad
+
+
+class TestStackedTraining:
+    def test_matches_per_member_autograd_loop_exactly(self):
+        """Fit, warm refit and ``refit(epochs=0)`` leave every weight
+        exactly where the per-member ``Tensor`` + ``Adam`` loop does."""
+        assert training_mismatches() == []
+
+    def test_matches_loop_on_one_blas_thread(self):
+        assert on_one_blas_thread("training_mismatches") == "[]"
 
 
 class TestRefit:
