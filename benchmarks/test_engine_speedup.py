@@ -59,7 +59,7 @@ def _sweep(engine, netlist, corners):
         "wall_s": wall,
         "characterizations": engine.characterizations,
         "flow_evaluations": engine.flow_evaluations,
-        "char_s": engine.timing.totals.get("characterization", 0.0),
+        "char_s": engine.stats()["timing_s"].get("characterization", 0.0),
     }
 
 

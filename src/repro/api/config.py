@@ -226,6 +226,11 @@ class EngineConfig(_Config):
         return super().from_dict(data)
 
     def __post_init__(self):
+        from ..engine.executor import parse_backend
+        try:
+            parse_backend(self.backend)
+        except ValueError as exc:
+            raise ConfigError(f"engine.backend: {exc}") from None
         _require(self.cache_capacity >= 0,
                  "engine.cache_capacity must be >= 0")
         _require(self.cache_max_bytes >= 0,

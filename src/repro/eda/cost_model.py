@@ -1,6 +1,6 @@
 """Calibrated runtime cost model reproducing Table I.
 
-We cannot run the commercial tools the paper timed, so the published
+We cannot run the commercial tools the paper measured, so the published
 constants are encoded here and combined exactly as the paper describes:
 
 * per-benchmark **system evaluation** seconds (Table I column 1);

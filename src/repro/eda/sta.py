@@ -90,7 +90,7 @@ class TimingGraph:
     """The library-independent timing structure of one netlist.
 
     Computed once per implemented netlist and reused for every library
-    it is timed against: the topological order of instances, the sinks
+    it is analysed against: the topological order of instances, the sinks
     of every net as ``(cell, pin)`` pairs, the primary outputs and each
     flip-flop's data net. Instances are referenced, not copied, so the
     graph shares the netlist's pin dicts, and interned sink tuples keep

@@ -5,7 +5,7 @@ The subsystem that turns corner evaluation into a first-class service:
 * :mod:`~repro.engine.hashing` — stable content hashes (corner × builder
   config × model weights) usable across processes and campaigns;
 * :mod:`~repro.engine.cache` — in-memory LRU + optional on-disk tier;
-* :mod:`~repro.engine.executor` — serial / thread / process backends
+* :mod:`~repro.engine.executor` — serial / process backends
   with deterministic result ordering;
 * :mod:`~repro.engine.engine` — the :class:`EvaluationEngine` funnel
   (result cache → library cache → implementation slot → executor).
@@ -19,8 +19,8 @@ from .records import PPAWeights, EvaluationRecord
 from .hashing import (canonicalize, stable_hash, array_digest,
                       model_fingerprint, netlist_fingerprint, EvalKey)
 from .cache import CacheStats, LRUCache, DiskCache, EvaluationCache
-from .executor import (SerialBackend, ThreadPoolBackend, ProcessPoolBackend,
-                       get_backend, available_workers)
+from .executor import (SerialBackend, ProcessPoolBackend, get_backend,
+                       available_workers)
 from .engine import EngineConfig, EvaluationEngine
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "canonicalize", "stable_hash", "array_digest", "model_fingerprint",
     "netlist_fingerprint", "EvalKey",
     "CacheStats", "LRUCache", "DiskCache", "EvaluationCache",
-    "SerialBackend", "ThreadPoolBackend", "ProcessPoolBackend",
+    "SerialBackend", "ProcessPoolBackend",
     "get_backend", "available_workers",
     "EngineConfig", "EvaluationEngine",
 ]

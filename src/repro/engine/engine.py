@@ -13,8 +13,12 @@ cacheable service. Every request flows through the same funnel:
    stages (:func:`repro.eda.flow.implement`) run once and are kept for
    the next corners of the same design; a new design replaces them.
 5. **executor** — remaining sign-offs (STA + power per library) fan out
-   over the configured backend (serial / thread / process pool) with
+   over the configured backend (serial or process pool) with
    input-order results.
+
+Each stage is measured once: its span feeds ``repro_span_seconds``, and
+a plain seconds tally (kept under :func:`repro.obs.disabled`) feeds
+``stats()["timing_s"]``.
 
 The default configuration (serial backend, in-memory cache) reproduces
 the historical serial path bit-for-bit; parallelism and disk
@@ -32,9 +36,8 @@ from dataclasses import dataclass, replace
 from ..eda.flow import evaluate_system, implement
 from ..obs.metrics import get_registry
 from ..obs.trace import span
-from ..utils.timing import TimingRecord
 from .cache import EvaluationCache
-from .executor import ProcessPoolBackend, SerialBackend, get_backend
+from .executor import ProcessPoolBackend, get_backend
 from .hashing import EvalKey, netlist_fingerprint, stable_hash
 from .records import EvaluationRecord, PPAWeights
 
@@ -125,7 +128,7 @@ class EvaluationEngine:
             lock=self._counter_lock)
         self.characterizations = 0      # corners actually characterized
         self.flow_evaluations = 0       # system flows actually run
-        self.timing = TimingRecord()
+        self._timing_s = {}             # stage -> seconds, see _tally
         registry = get_registry()
         self._m_characterizations = registry.counter(
             "repro_engine_characterizations_total",
@@ -137,10 +140,6 @@ class EvaluationEngine:
             "repro_engine_evaluations_total",
             "Corner evaluations requested, by cache outcome",
             labels=("outcome",))
-        self._m_executor = registry.histogram(
-            "repro_engine_executor_seconds",
-            "Executor batch latency by stage",
-            labels=("stage",))
         # Hot-path children bound once; label resolution per call is
         # measurable against a warm all-hit sweep.
         self._m_eval_hit = self._m_evaluations.labels(outcome="hit")
@@ -268,10 +267,7 @@ class EvaluationEngine:
             with span("engine.characterize", corners=len(missing)):
                 built, built_times = self._characterize(
                     [corners[i] for i in missing])
-            elapsed = time.perf_counter() - t0
-            self.timing.add("characterization", elapsed)
-            self._m_executor.labels(stage="characterization") \
-                .observe(elapsed)
+            self._tally("characterization", t0)
             for i, lib, secs in zip(missing, built, built_times):
                 libs[i] = lib
                 times[i] = secs
@@ -336,7 +332,7 @@ class EvaluationEngine:
             self._m_eval_miss.inc(len(missing))
         if dup_of:
             self._m_eval_dup.inc(len(dup_of))
-        self.timing.add("evaluate_many", time.perf_counter() - total0)
+        self._tally("evaluate_many", total0)
         for listener in list(self._record_listeners):
             listener(netlist, out)
         return out
@@ -348,24 +344,13 @@ class EvaluationEngine:
         impl = self.implementation(netlist)
         impls = [impl] + [impl.reused()] * (len(missing) - 1)
         if not isinstance(self.backend, ProcessPoolBackend):
-            # Characterize first, then flow each.
-            # Serial: identical call structure to the historical loop.
-            # Threads: builds stay in this thread — a builder's
-            # ``last_runtime_s`` is per-builder state, not thread-safe —
-            # and only the independent, read-only system flows fan out
-            # over the pool.
+            # Serial: characterize first, then flow each — the call
+            # structure of the historical loop.
             libs, lib_times = self._libraries_with_times(miss_corners)
             payloads = [(None, lib, netlist, im, corner, weights)
                         for lib, im, corner in zip(libs, impls,
                                                    miss_corners)]
-            t0 = time.perf_counter()
-            with span("engine.executor", stage="system_flow",
-                      backend=self.backend.name, tasks=len(payloads)):
-                results = self.backend.map(_evaluate_corner_task,
-                                           payloads)
-            elapsed = time.perf_counter() - t0
-            self.timing.add("system_flow", elapsed)
-            self._m_executor.labels(stage="system_flow").observe(elapsed)
+            results = self._execute("system_flow", payloads)
             records = []
             for (lib, record), secs in zip(results, lib_times):
                 record.library_runtime_s = secs
@@ -390,15 +375,7 @@ class EvaluationEngine:
                     self._m_characterizations.inc()
                     payloads.append((self.builder, None, netlist, im,
                                      corner, weights))
-            t0 = time.perf_counter()
-            with span("engine.executor", stage="parallel_evaluate",
-                      backend=self.backend.name, tasks=len(payloads)):
-                results = self.backend.map(_evaluate_corner_task,
-                                           payloads)
-            elapsed = time.perf_counter() - t0
-            self.timing.add("parallel_evaluate", elapsed)
-            self._m_executor.labels(stage="parallel_evaluate") \
-                .observe(elapsed)
+            results = self._execute("parallel_evaluate", payloads)
             records = []
             for (lib, record), payload, corner in zip(results, payloads,
                                                       miss_corners):
@@ -420,6 +397,21 @@ class EvaluationEngine:
                 out[i] = record
         self._m_flow_evaluations.inc(len(records))
 
+    def _execute(self, stage, payloads) -> list:
+        """Map the corner task over the backend as one measured stage."""
+        t0 = time.perf_counter()
+        with span("engine.executor", stage=stage,
+                  backend=self.backend.name, tasks=len(payloads)):
+            results = self.backend.map(_evaluate_corner_task, payloads)
+        self._tally(stage, t0)
+        return results
+
+    def _tally(self, stage, t0) -> None:
+        """Add the seconds since ``t0`` to ``stage``'s running total."""
+        seconds = time.perf_counter() - t0
+        with self._counter_lock:
+            self._timing_s[stage] = self._timing_s.get(stage, 0.0) + seconds
+
     # -- reporting / lifecycle ----------------------------------------------
     def stats(self) -> dict:
         with self._counter_lock:
@@ -429,7 +421,7 @@ class EvaluationEngine:
                 "flow_evaluations": self.flow_evaluations,
                 "library_cache": self.library_cache.stats(),
                 "result_cache": self.result_cache.stats(),
-                "timing_s": dict(self.timing.totals),
+                "timing_s": dict(self._timing_s),
             }
 
     def snapshot(self) -> dict:
@@ -461,7 +453,7 @@ class EvaluationEngine:
         with self._counter_lock:
             self.characterizations = 0
             self.flow_evaluations = 0
-            self.timing = TimingRecord()
+            self._timing_s = {}
 
     def shutdown(self) -> None:
         self.backend.shutdown()

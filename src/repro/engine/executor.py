@@ -5,26 +5,22 @@ returns results in **input order**, whatever the completion order — the
 property the engine relies on for reproducible campaign trajectories.
 
 * :class:`SerialBackend` — in-process loop, zero overhead, the default.
-* :class:`ThreadPoolBackend` — threads; suited to work that releases
-  the GIL (numpy-heavy flows). The engine keeps GNN characterization
-  out of thread pools — model inference toggles process-global
-  autograd state — and threads only the independent system flows.
 * :class:`ProcessPoolBackend` — ``multiprocessing`` pool; wins for the
   CPU-bound SPICE/flow work on multi-core machines (workers get their
   own copy of the builder, so no shared mutable state).
 
 Backends are addressable by spec string (``"serial"``, ``"process"``,
-``"process:4"``, ``"thread:8"``) so campaign configs stay JSON-able.
+``"process:4"``) so campaign configs stay JSON-able;
+:func:`parse_backend` is the one validity rule for those strings.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["SerialBackend", "ThreadPoolBackend", "ProcessPoolBackend",
-           "get_backend", "available_workers"]
+__all__ = ["SerialBackend", "ProcessPoolBackend", "get_backend",
+           "parse_backend", "available_workers"]
 
 
 def available_workers() -> int:
@@ -49,35 +45,6 @@ class SerialBackend:
 
     def __repr__(self):
         return "SerialBackend()"
-
-
-class ThreadPoolBackend:
-    """Thread pool; results are reordered back to input order."""
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = workers if workers else available_workers()
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def map(self, fn, payloads) -> list:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            return [fn(p) for p in payloads]
-        return list(self._ensure().map(fn, payloads))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self):
-        return f"ThreadPoolBackend(workers={self.workers})"
 
 
 class ProcessPoolBackend:
@@ -126,31 +93,51 @@ class ProcessPoolBackend:
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadPoolBackend,
     "process": ProcessPoolBackend,
 }
+
+
+def parse_backend(spec: str) -> tuple[str, int | None]:
+    """Split a backend spec into ``(name, workers)``.
+
+    ``workers`` is ``None`` when the spec names no count (``"process"``
+    means every available CPU). Raises :class:`ValueError` for an
+    unknown name, a count on ``serial``, or a count that is not a
+    positive integer.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"backend spec must be a string, got {spec!r}")
+    name, sep, count = spec.partition(":")
+    if name == "thread":
+        raise ValueError("the 'thread' backend was removed: it never beat "
+                         "'serial' on a measured sweep; use 'serial' or "
+                         "'process:N'")
+    if name not in _BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; "
+                         f"expected one of {sorted(_BACKENDS)}")
+    if not sep:
+        return name, None
+    if name == "serial":
+        raise ValueError(f"backend spec {spec!r}: 'serial' takes no "
+                         f"worker count")
+    try:
+        workers = int(count)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"invalid worker count in backend spec {spec!r}; "
+                         f"expected a positive integer, e.g. '{name}:4'")
+    return name, workers
 
 
 def get_backend(spec):
     """Resolve a backend instance from a spec string or pass one through.
 
-    Specs: ``"serial"``, ``"thread"``, ``"process"``, optionally with a
-    worker count suffix — ``"process:4"``.
+    Specs: ``"serial"``, ``"process"``, ``"process:N"`` (see
+    :func:`parse_backend`).
     """
     if not isinstance(spec, str):
         return spec
-    name, _, count = spec.partition(":")
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; "
-                         f"expected one of {sorted(_BACKENDS)}")
+    name, workers = parse_backend(spec)
     cls = _BACKENDS[name]
-    if name == "serial":
-        return cls()
-    if not count:
-        return cls()
-    try:
-        workers = int(count)
-    except ValueError:
-        raise ValueError(f"invalid worker count in backend spec "
-                         f"{spec!r}; expected e.g. '{name}:4'") from None
-    return cls(workers)
+    return cls() if workers is None else cls(workers)

@@ -24,7 +24,7 @@ The module keeps one process-wide default registry
 (:func:`get_registry`); components fetch their instruments from it at
 construction. Tests and the overhead benchmark swap it with
 :func:`use_registry` — :class:`NullRegistry` hands out no-op instruments
-so the fully-instrumented hot path can be timed against a zero-cost one.
+so the fully-instrumented hot path can be measured against a zero-cost one.
 
 Dependency-free by design: nothing here imports any other repro module.
 """

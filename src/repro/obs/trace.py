@@ -1,6 +1,6 @@
 """Lightweight span tracing: where did this request's time actually go?
 
-A :class:`Span` is one named, timed stage of work (wall clock via
+A :class:`Span` is one named, measured stage of work (wall clock via
 ``perf_counter``, CPU via ``thread_time``) with free-form attributes
 and child spans. The module-level :func:`span` context manager
 maintains a per-thread stack, so nested ``with`` blocks build a tree
@@ -181,7 +181,7 @@ def trace_context(ctx: TraceContext | None):
 
 
 class Span:
-    """One timed stage; a node in a per-request trace tree."""
+    """One measured stage; a node in a per-request trace tree."""
 
     __slots__ = ("name", "attrs", "children", "start_s", "wall_s",
                  "cpu_s", "dropped", "error", "trace_id", "span_id",

@@ -5,7 +5,7 @@ methods over one transport call, :meth:`ServeClient._send` — no
 dependencies, usable from tests, examples and the ``repro submit`` CLI
 alike. HTTP error responses raise :class:`ServeClientError` carrying
 the decoded error body and status code; transport failures reach the
-caller as ``OSError`` (refused, reset, timed out).
+caller as ``OSError`` (refused, reset, timeout).
 
 Every request rides a pool of kept-alive ``http.client`` connections
 (a reused one the server has since closed is reopened once), so a
@@ -190,7 +190,7 @@ class ServeClient:
         """One attempt: the request on an idle kept-alive connection
         (or a new one), ``(response, body bytes)`` back. A reused
         connection the server has closed meanwhile is reopened once;
-        any other failure (refused, reset, timed out) raises."""
+        any other failure (refused, reset, timeout) raises."""
         conn = None
         if reuse and not stream:
             with self._idle_lock:

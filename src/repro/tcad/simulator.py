@@ -1,9 +1,9 @@
 """TCAD simulator facade: one entry point for Poisson and IV simulation.
 
 Wraps :class:`~repro.tcad.poisson.PoissonSolver` and
-:class:`~repro.tcad.iv.ChargeSheetIV` behind a device-level API and records
-wall-clock per task so the STCO runtime ledger can compare the "traditional"
-path against the GNN surrogates.
+:class:`~repro.tcad.iv.ChargeSheetIV` behind a device-level API. Each task
+runs in a ``poisson`` or ``iv`` span, so its wall-clock lands in the trace
+tree and in ``repro_span_seconds{span=...}``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils.timing import TimingRecord, timed
+from ..obs.trace import span
 from .device import PlanarTFT
 from .iv import ChargeSheetIV, IVResult
 from .mesh import DeviceMesh
@@ -36,13 +36,10 @@ class DeviceSolution:
 class TCADSimulator:
     """Simulate planar TFT devices with the full (non-surrogate) physics."""
 
-    def __init__(self):
-        self.timing = TimingRecord()
-
     def solve_poisson(self, device: PlanarTFT, vg: float,
                       vd: float) -> tuple[DeviceMesh, PoissonSolution]:
         """2-D self-consistent electrostatics at one bias point."""
-        with timed(self.timing, "poisson"):
+        with span("poisson"):
             mesh = device.mesh()
             solver = PoissonSolver(mesh)
             sol = solver.solve(vg, vd)
@@ -52,7 +49,7 @@ class TCADSimulator:
 
     def simulate_iv(self, device: PlanarTFT, vgs, vds) -> IVResult:
         """Quasi-2D IV surface over a bias grid."""
-        with timed(self.timing, "iv"):
+        with span("iv"):
             engine = ChargeSheetIV(device)
             return engine.iv_surface(np.atleast_1d(vgs), np.atleast_1d(vds))
 
@@ -60,7 +57,7 @@ class TCADSimulator:
                        vd: float) -> DeviceSolution:
         """Full solution at one bias: 2-D fields plus the drain current."""
         mesh, sol = self.solve_poisson(device, vg, vd)
-        with timed(self.timing, "iv"):
+        with span("iv"):
             ids = ChargeSheetIV(device).ids(vg, vd)
         return DeviceSolution(device=device, mesh=mesh, poisson=sol,
                               ids=ids, vg=vg, vd=vd)

@@ -15,7 +15,7 @@ ALL_CONFIGS = [
     ModelConfig(),
     ModelConfig(kind="spice"),
     EngineConfig(),
-    EngineConfig(backend="thread", cache_max_bytes=1 << 20,
+    EngineConfig(backend="process:2", cache_max_bytes=1 << 20,
                  persist=False),
     SearchConfig(),
     SearchConfig(optimizer="anneal", members=("anneal", "random")),
@@ -98,6 +98,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cache_max_bytes"):
             EngineConfig(cache_max_bytes=-1)
 
+    @pytest.mark.parametrize("backend, match", [
+        ("bogus", "unknown backend"),
+        ("thread", "'thread' backend was removed"),
+        ("thread:2", "'thread' backend was removed"),
+        ("serial:3", "takes no worker count"),
+        ("process:x", "positive integer"),
+        ("process:0", "positive integer"),
+        ("process:-2", "positive integer"),
+    ])
+    def test_bad_backend_rejected(self, backend, match):
+        with pytest.raises(ConfigError, match=f"engine.backend: .*{match}"):
+            StcoConfig.from_dict({"engine": {"backend": backend}})
+
     def test_removed_batching_keys_dropped_from_stored_documents(self):
         """Schema-1 job records and reports carry the removed
         batched-characterization knobs at their off defaults."""
@@ -106,8 +119,8 @@ class TestValidation:
                                 max_graphs_per_batch=1024)
         assert StcoConfig.from_dict(stored) == StcoConfig()
         assert EngineConfig.from_dict(
-            {"backend": "thread", "max_graphs_per_batch": 64}
-        ) == EngineConfig(backend="thread")
+            {"backend": "process:2", "max_graphs_per_batch": 64}
+        ) == EngineConfig(backend="process:2")
 
     def test_removed_batching_requested_raises(self):
         stored = StcoConfig().to_dict()

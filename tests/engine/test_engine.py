@@ -102,7 +102,35 @@ class TestCaching:
         assert stats["characterizations"] == 1
         assert stats["flow_evaluations"] == 1
         assert "memory" in stats["library_cache"]
-        assert "timing_s" in stats
+        assert set(stats["timing_s"]) == {"characterization",
+                                          "system_flow", "evaluate_many"}
+
+    def test_timing_tally_survives_disabled_obs(self, builder, netlist,
+                                                corners):
+        from repro import obs
+        with obs.disabled():
+            engine = EvaluationEngine(builder, EngineConfig())
+            engine.evaluate_many(netlist, corners[:2])
+        timing = engine.stats()["timing_s"]
+        assert set(timing) == {"characterization", "system_flow",
+                               "evaluate_many"}
+        assert all(seconds > 0 for seconds in timing.values())
+        engine.reset_counters()
+        assert engine.stats()["timing_s"] == {}
+
+    def test_stage_seconds_are_spans_only(self, builder, netlist,
+                                          corners):
+        """Engine stage seconds are exported once, as spans."""
+        from repro.obs import MetricsRegistry, use_registry
+        with use_registry(MetricsRegistry()) as registry:
+            engine = EvaluationEngine(builder, EngineConfig())
+            engine.evaluate_many(netlist, corners[:2])
+            snap = registry.snapshot()
+        for stage in ("engine.characterize", "engine.executor"):
+            assert snap[f'repro_span_seconds_count{{span="{stage}"}}'] == 1
+        assert not any(n.startswith(("repro_engine_executor_seconds",
+                                     "repro_stage_seconds"))
+                       for n in snap)
 
 
 class TestBackends:
@@ -126,19 +154,6 @@ class TestBackends:
             assert engine.characterizations == 2          # no rebuilds
             assert all(lib is not None for lib in libs)
 
-    def test_thread_backend_matches_serial(self, builder, netlist,
-                                           corners):
-        serial = EvaluationEngine(builder, EngineConfig())
-        reference = serial.evaluate_many(netlist, corners)
-        with EvaluationEngine(
-                builder, EngineConfig(backend="thread:4")) as threaded:
-            records = threaded.evaluate_many(netlist, corners)
-            # Characterization stays in the calling thread (autograd
-            # state is process-global); flows fan out.
-            assert threaded.characterizations == len(corners)
-        assert [r.reward for r in records] == [
-            r.reward for r in reference]
-
     def test_engine_libraries_match_builder(self, builder, netlist,
                                             corners):
         """The engine characterizes with one ``builder.build`` per
@@ -158,8 +173,8 @@ class TestBackends:
         with EvaluationEngine(
                 builder, EngineConfig(backend="process:2")) as engine:
             records = engine.evaluate_many(netlist, corners)
-            assert "parallel_evaluate" in engine.timing.totals
-            assert "characterization" not in engine.timing.totals
+            assert set(engine.stats()["timing_s"]) == {
+                "parallel_evaluate", "evaluate_many"}
             assert engine.characterizations == len(corners)
         assert [r.reward for r in records] == [
             r.reward for r in reference]
@@ -212,7 +227,7 @@ class TestImplementationReuse:
         assert all(r.result.stage_runtimes_s[s] == 0.0
                    for r in records[1:] for s in stages)
 
-    @pytest.mark.parametrize("backend", ["thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["process:2"])
     def test_parallel_backends_match_serial(self, builder, netlist,
                                             corners, backend):
         reference = EvaluationEngine(builder, EngineConfig()) \
@@ -309,7 +324,7 @@ class TestFastSTCOEquivalence:
     def test_engine_backends_agree_on_best_corner(self, builder,
                                                   small_space):
         """The fast STCO loop through the default serial engine and
-        through a thread-pool engine must find the identical best
+        through a process-pool engine must find the identical best
         corner and rewards."""
         from repro.api import execute_search
         from repro.eda import build_benchmark
@@ -317,7 +332,7 @@ class TestFastSTCOEquivalence:
         runs = {}
         for label, config in {
             "serial": EngineConfig(),
-            "threaded": EngineConfig(backend="thread:2"),
+            "process": EngineConfig(backend="process:2"),
         }.items():
             with EvaluationEngine(builder, config) as engine:
                 runs[label] = execute_search(
@@ -325,9 +340,9 @@ class TestFastSTCOEquivalence:
                     make_optimizer("qlearning", small_space, seed=7),
                     engine, PPAWeights(), 6).result
         assert (runs["serial"].best_corner
-                == runs["threaded"].best_corner)
+                == runs["process"].best_corner)
         np.testing.assert_array_equal(runs["serial"].rewards,
-                                      runs["threaded"].rewards)
+                                      runs["process"].rewards)
         assert runs["serial"].characterizations >= 1
 
 

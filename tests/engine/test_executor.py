@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import (ProcessPoolBackend, SerialBackend,
-                          ThreadPoolBackend, available_workers, get_backend)
+                          available_workers, get_backend)
 
 
 def _square(x):
@@ -19,16 +19,6 @@ class TestSerialBackend:
     def test_map_in_order(self):
         backend = SerialBackend()
         assert backend.map(_square, [3, 1, 2]) == [9, 1, 4]
-
-
-class TestThreadBackend:
-    def test_matches_serial(self):
-        backend = ThreadPoolBackend(workers=4)
-        try:
-            assert backend.map(_square, range(20)) == [
-                x * x for x in range(20)]
-        finally:
-            backend.shutdown()
 
 
 class TestProcessBackend:
@@ -51,14 +41,11 @@ class TestProcessBackend:
 class TestGetBackend:
     def test_specs(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadPoolBackend)
         assert isinstance(get_backend("process"), ProcessPoolBackend)
 
     def test_worker_count_suffix(self):
         backend = get_backend("process:3")
         assert backend.workers == 3
-        backend = get_backend("thread:5")
-        assert backend.workers == 5
 
     def test_default_workers_positive(self):
         assert available_workers() >= 1
@@ -71,3 +58,16 @@ class TestGetBackend:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("quantum")
+
+    @pytest.mark.parametrize("spec, match", [
+        ("thread", "'thread' backend was removed"),
+        ("thread:4", "'thread' backend was removed"),
+        ("serial:3", "takes no worker count"),
+        ("process:x", "positive integer"),
+        ("process:0", "positive integer"),
+        ("process:-2", "positive integer"),
+        ("process:", "positive integer"),
+    ])
+    def test_bad_specs_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            get_backend(spec)

@@ -145,6 +145,14 @@ class TestErrorMapping:
         assert exc.value.status == 400
         assert "mode" in exc.value.message
 
+    @pytest.mark.parametrize("backend", ["bogus", "thread", "process:0"])
+    def test_invalid_engine_backend_is_400(self, client, backend):
+        config = dict(CFG, engine=dict(CFG["engine"], backend=backend))
+        with pytest.raises(ServeClientError) as exc:
+            client.submit(config)
+        assert exc.value.status == 400
+        assert "engine.backend" in exc.value.message
+
     def test_malformed_json_is_400(self, stub_stack):
         server, _, _ = stub_stack
         request = urllib.request.Request(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.tcad import (ChargeModel, ChargeSheetIV, PlanarTFT, PoissonSolver,
                         Region, TCADSimulator, material, tdt_gamma,
                         tdt_mobility)
@@ -195,12 +196,15 @@ class TestChargeSheetIV:
 
 class TestSimulatorFacade:
     def test_simulate_point(self):
-        sim = TCADSimulator()
-        sol = sim.simulate_point(PlanarTFT(channel_material="ltps"), 2.0, 1.0)
+        with use_registry(MetricsRegistry()) as registry:
+            sol = TCADSimulator().simulate_point(
+                PlanarTFT(channel_material="ltps"), 2.0, 1.0)
+            snap = registry.snapshot()
         assert sol.poisson.converged
         assert sol.ids > 0
-        assert sim.timing.total("poisson") > 0
-        assert sim.timing.total("iv") > 0
+        for stage in ("poisson", "iv"):
+            assert snap[f'repro_span_seconds_count{{span="{stage}"}}'] == 1
+            assert snap[f'repro_span_seconds_sum{{span="{stage}"}}'] > 0
 
     def test_simulate_iv_shape(self):
         sim = TCADSimulator()
