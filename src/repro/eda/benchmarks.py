@@ -252,11 +252,25 @@ def benchmark_names() -> list:
             "mac16", "mac32", "picorv32", "darkriscv"]
 
 
+#: name -> the one built netlist of that design in this process.
+_BUILT: dict = {}
+
+
 def build_benchmark(name: str) -> GateNetlist:
-    """Build one of the ten Table I designs."""
-    try:
-        builder = BENCHMARKS[name]
-    except KeyError:
-        raise ValueError(f"unknown benchmark {name!r}; "
-                         f"available: {benchmark_names()}") from None
-    return builder()
+    """One of the ten Table I designs, built once per process.
+
+    Every call for ``name`` returns the same netlist object, so its
+    fingerprint (memoized per object) is computed once too. The netlist
+    is shared and read-only: call ``.copy()`` to edit it, as
+    :func:`repro.eda.flow.implement` does.
+    """
+    netlist = _BUILT.get(name)
+    if netlist is None:
+        try:
+            builder = BENCHMARKS[name]
+        except KeyError:
+            raise ValueError(f"unknown benchmark {name!r}; "
+                             f"available: {benchmark_names()}") from None
+        # Concurrent first calls may both build; all settle on one.
+        netlist = _BUILT.setdefault(name, builder())
+    return netlist

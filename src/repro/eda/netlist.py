@@ -16,6 +16,9 @@ from ..cells import get_cell
 
 __all__ = ["Instance", "GateNetlist"]
 
+#: ``repro.engine.hashing.forget_netlist``, bound on the first edit.
+_forget_netlist = None
+
 
 @dataclass
 class Instance:
@@ -47,12 +50,21 @@ class GateNetlist:
         self.primary_outputs: list = []
 
     # -- construction ------------------------------------------------------
+    def _edited(self):
+        """Drop this netlist's memoized fingerprint before an edit."""
+        global _forget_netlist
+        if _forget_netlist is None:   # late: repro.engine imports this
+            from ..engine.hashing import forget_netlist as _forget_netlist
+        _forget_netlist(self)
+
     def add_input(self, net: str):
+        self._edited()
         if net not in self.primary_inputs:
             self.primary_inputs.append(net)
         return net
 
     def add_output(self, net: str):
+        self._edited()
         if net not in self.primary_outputs:
             self.primary_outputs.append(net)
         return net
@@ -65,6 +77,7 @@ class GateNetlist:
         missing = (set(cell_obj.inputs) | set(cell_obj.outputs)) - set(pins)
         if missing:
             raise ValueError(f"{name}: unconnected pins {sorted(missing)}")
+        self._edited()
         self.instances[name] = Instance(name=name, cell=cell, pins=pins)
         return pins[cell_obj.outputs[0]]
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import weakref
 from dataclasses import dataclass, replace
 
 from ..eda.flow import evaluate_system, implement
@@ -147,9 +146,6 @@ class EvaluationEngine:
         self._m_eval_dup = self._m_evaluations.labels(
             outcome="duplicate")
         self._builder_fp = None
-        # Weakly keyed so a long-lived shared engine does not pin every
-        # netlist it ever evaluated in memory.
-        self._netlist_fps = weakref.WeakKeyDictionary()
         # One (netlist fingerprint, Implementation) slot: a sweep
         # implements its design once and signs off per corner, and a
         # new design replaces the old one, so memory holds one design.
@@ -198,13 +194,6 @@ class EvaluationEngine:
                      os.urandom(16).hex()])
         return self._builder_fp
 
-    def _netlist_fp(self, netlist) -> str:
-        fp = self._netlist_fps.get(netlist)
-        if fp is None:
-            fp = netlist_fingerprint(netlist)
-            self._netlist_fps[netlist] = fp
-        return fp
-
     def library_key(self, corner) -> EvalKey:
         return EvalKey("lib", builder=self.builder_fingerprint(),
                        corner=corner.key())
@@ -212,7 +201,7 @@ class EvaluationEngine:
     def evaluation_key(self, netlist, corner, weights) -> EvalKey:
         return EvalKey("eval", builder=self.builder_fingerprint(),
                        corner=corner.key(),
-                       design=self._netlist_fp(netlist),
+                       design=netlist_fingerprint(netlist),
                        weights=weights.key())
 
     def implementation(self, netlist):
@@ -222,7 +211,7 @@ class EvaluationEngine:
         A fresh build carries its stage seconds; a reuse is a zero-second
         :meth:`~repro.eda.flow.Implementation.reused` view.
         """
-        fp = self._netlist_fp(netlist)
+        fp = netlist_fingerprint(netlist)
         with self._impl_lock:
             slot = self._impl_slot
             if slot is not None and slot[0] == fp:

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
+from itertools import chain
 
 import numpy as np
 
 __all__ = ["canonicalize", "stable_hash", "array_digest",
-           "model_fingerprint", "netlist_fingerprint", "EvalKey"]
+           "model_fingerprint", "netlist_fingerprint", "forget_netlist",
+           "EvalKey"]
 
 
 def canonicalize(obj):
@@ -77,17 +80,56 @@ def model_fingerprint(model, length: int = 16) -> str:
     return h.hexdigest()[:length]
 
 
+#: netlist -> full hex digest. Weakly keyed: a long-lived process pins no
+#: netlist it hashed, and a recycled ``id()`` never aliases another one.
+_NETLIST_DIGESTS = weakref.WeakKeyDictionary()
+
+
 def netlist_fingerprint(netlist, length: int = 16) -> str:
-    """Structural digest of a gate netlist (instances, pins, IO)."""
-    instances = [(inst.name, inst.cell, sorted(inst.pins.items()))
-                 for inst in netlist.instances.values()]
-    return stable_hash({
-        "name": netlist.name,
-        "clock": netlist.clock,
-        "inputs": list(netlist.primary_inputs),
-        "outputs": list(netlist.primary_outputs),
-        "instances": sorted(instances),
-    }, length=length)
+    """Structural digest of a gate netlist (instances, pins, IO).
+
+    Memoized per netlist object in ``_NETLIST_DIGESTS``, the only
+    fingerprint memo: a design pays for its digest once per process.
+    :meth:`~repro.eda.netlist.GateNetlist.add`, ``add_input`` and
+    ``add_output`` drop the entry (:func:`forget_netlist`), so a
+    netlist still being built never reads a stale digest. Other
+    in-place edits are not tracked; edit a ``.copy()`` instead.
+    """
+    digest = _NETLIST_DIGESTS.get(netlist)
+    if digest is None:
+        digest = _NETLIST_DIGESTS[netlist] = _netlist_digest(netlist)
+    return digest[:length]
+
+
+def forget_netlist(netlist) -> None:
+    """Drop ``netlist``'s memoized fingerprint (it is being edited)."""
+    _NETLIST_DIGESTS.pop(netlist, None)
+
+
+def _netlist_digest(netlist) -> str:
+    """``stable_hash`` of the netlist's structural document, full length.
+
+    When every leaf is a ``str`` the document goes straight to the C
+    JSON encoder: ``canonicalize`` would return it unchanged (tuples
+    encode as arrays, the top-level keys are sorted either way), so the
+    bytes are the same without its recursive walk. Any other leaf (a
+    float renders differently) takes ``stable_hash`` itself.
+    """
+    instances = sorted((inst.name, inst.cell, sorted(inst.pins.items()))
+                       for inst in netlist.instances.values())
+    doc = {"name": netlist.name, "clock": netlist.clock,
+           "inputs": list(netlist.primary_inputs),
+           "outputs": list(netlist.primary_outputs),
+           "instances": instances}
+    try:                          # str.join rejects any non-str leaf
+        "".join([netlist.name, netlist.clock, *doc["inputs"],
+                 *doc["outputs"]])
+        for name, cell, pins in instances:
+            "".join((name, cell, *chain.from_iterable(pins)))
+    except TypeError:
+        return stable_hash(doc, length=64)
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class EvalKey:

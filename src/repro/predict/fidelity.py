@@ -26,7 +26,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..engine.hashing import netlist_fingerprint
 from ..engine.records import EvaluationRecord
 from ..obs.metrics import get_registry
 from ..surrogate.fidelity import PredictedResult
@@ -48,23 +47,18 @@ class SurrogateEngine:
     report's uncertainty block.
     """
 
-    def __init__(self, model, featurizer, netlist=None):
+    def __init__(self, model, featurizer):
         self.model = model
         self.featurizer = featurizer
         self.flow_evaluations = 0       # honest: the engine never ran
         self.characterizations = 0
         self.predictions = 0
         self.corner_stds: dict = {}     # corner key -> std triple
-        self._netlist_fp = (netlist_fingerprint(netlist)
-                            if netlist is not None else None)
 
     def evaluate_many(self, netlist, corners, weights) -> list:
         if not corners:
             return []
-        fp = self._netlist_fp
-        if fp is None:
-            fp = self._netlist_fp = netlist_fingerprint(netlist)
-        X = np.stack([self.featurizer.features(netlist, c, netlist_fp=fp)
+        X = np.stack([self.featurizer.features(netlist, c)
                       for c in corners])
         mean, std = self.model.predict(X)
         self.predictions += len(corners)
@@ -169,7 +163,7 @@ def run_surrogate_fidelity(config, workspace,
     weights = config.search.ppa_weights()
     # No promotion gate: the "engine" already *is* the surrogate.
     optimizer = _make_optimizer(config, space, weights, builder=None)
-    engine = SurrogateEngine(model, store.featurizer, netlist)
+    engine = SurrogateEngine(model, store.featurizer)
     execution = execute_search(netlist, optimizer, engine, weights,
                                config.search.iterations,
                                progress_callback=progress_callback)

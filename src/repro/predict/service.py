@@ -13,9 +13,9 @@ no later request ever blocks on a retrain) and answers:
   (:meth:`~repro.surrogate.models.EnsemblePPAModel.predict` —
   batched ``(K, n, d)`` matmuls), never K×N MLP calls.
 
-Identical queries never re-run inference: answers live in a
-content-keyed LRU whose keys include the served model's fingerprint,
-so a refresher swap (:meth:`swap_model`) implicitly invalidates every
+Identical queries never re-run inference: answers live in an
+in-memory LRU keyed by (model fingerprint, design, corner key), so a
+refresher swap (:meth:`swap_model`) implicitly invalidates every
 stale entry. The ensemble's only forward is the pure-numpy stacked
 path — it never touches the :mod:`repro.nn` autograd state, so it
 needs no engine execution lock.
@@ -42,7 +42,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..engine.hashing import stable_hash
 from ..obs.metrics import get_registry
 from ..surrogate.records import TARGET_NAMES
 
@@ -97,8 +96,6 @@ class PredictService:
         self._model_fp = ""
         self._loaded_s = 0.0
         self._cache: OrderedDict = OrderedDict()
-        self._netlists: dict = {}       # design name -> netlist
-        self._design_fps: dict = {}     # design name -> fingerprint
         registry = get_registry()
         self._m_requests = registry.counter(
             "repro_predict_requests_total",
@@ -237,26 +234,18 @@ class PredictService:
     # -- featurization -----------------------------------------------------
     def _featurize(self, design: str, corners) -> np.ndarray:
         from ..eda.benchmarks import build_benchmark
-        from ..engine.hashing import netlist_fingerprint
         featurizer = self.workspace.record_store().featurizer
-        netlist = self._netlists.get(design)
-        if netlist is None:
-            try:
-                netlist = build_benchmark(design)
-            except (KeyError, ValueError) as exc:
-                raise PredictError(
-                    f"unknown design {design!r}: {exc}") from None
-            self._netlists[design] = netlist
-            self._design_fps[design] = netlist_fingerprint(netlist)
-        fp = self._design_fps[design]
-        return np.stack([featurizer.features(netlist, c, netlist_fp=fp)
-                         for c in corners])
+        try:
+            netlist = build_benchmark(design)
+        except (KeyError, ValueError) as exc:
+            raise PredictError(f"unknown design {design!r}: {exc}") from None
+        return np.stack([featurizer.features(netlist, c) for c in corners])
 
     # -- queries -----------------------------------------------------------
-    def _key(self, design: str, corner) -> str:
-        return stable_hash({"kind": "predict", "model": self._model_fp,
-                            "design": design,
-                            "corner": list(corner.key())}, length=32)
+    def _key(self, design: str, corner) -> tuple:
+        # The LRU lives only in memory, so a plain tuple keys it; the
+        # model fingerprint in it makes a model swap miss every entry.
+        return (self._model_fp, design, corner.key())
 
     def _model_block(self) -> dict:
         return {"fingerprint": self._model_fp,
@@ -281,7 +270,7 @@ class PredictService:
                                     spread.values())))),
         }
 
-    def _cache_get(self, key: str):
+    def _cache_get(self, key: tuple):
         with self._lock:
             hit = self._cache.get(key)
             if hit is not None:
@@ -291,7 +280,7 @@ class PredictService:
                 self._m_cache.labels(event="miss").inc()
             return hit
 
-    def _cache_put(self, key: str, entry: dict) -> None:
+    def _cache_put(self, key: tuple, entry: dict) -> None:
         if self.cache_size <= 0:
             return
         with self._lock:

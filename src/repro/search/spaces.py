@@ -170,8 +170,6 @@ class SearchSpace:
         self._points = [tuple(p) for p in product(*values)]
         self._index = {self.corner(p).key(): i
                        for i, p in enumerate(self._points)}
-        self._neighbors = grid_neighbor_table(
-            [len(a.values) for a in self.axes])
 
     # -- point-level API (all spaces) --------------------------------------
     def sample_point(self, rng: np.random.Generator) -> tuple:
@@ -255,7 +253,12 @@ class SearchSpace:
                 from None
 
     def neighbors(self, index: int) -> list:
+        """Indices one step away along any axis (table built on first
+        use: only Q-learning asks)."""
         self._require_grid("neighbors")
+        if self._neighbors is None:
+            self._neighbors = grid_neighbor_table(
+                [len(a.values) for a in self.axes])
         return list(self._neighbors[index])
 
     def random_index(self, rng: np.random.Generator) -> int:

@@ -27,16 +27,13 @@ class DesignSpace:
     cox_scales: tuple = (0.8, 1.0, 1.2)
 
     def __post_init__(self):
-        from ..search.spaces import grid_neighbor_table
         self._points = [Corner(v, t, c) for v, t, c in product(
             self.vdd_scales, self.vth_shifts, self.cox_scales)]
-        # Index map + neighbor lists are precomputed once: float equality
-        # against Corner fields made every index_of/neighbors call an O(n)
-        # linear scan, and the agents call both every iteration.
+        # An index map, not float equality against Corner fields: that
+        # made every index_of call an O(n) linear scan, and the agents
+        # call it every iteration. Neighbor lists are built on first use.
         self._index = {p.key(): i for i, p in enumerate(self._points)}
-        self._neighbors = grid_neighbor_table(
-            [len(self.vdd_scales), len(self.vth_shifts),
-             len(self.cox_scales)])
+        self._neighbors = None
 
     @property
     def size(self) -> int:
@@ -56,7 +53,13 @@ class DesignSpace:
         return list(self._points)
 
     def neighbors(self, index: int) -> list:
-        """Indices reachable by one step along any axis (precomputed)."""
+        """Indices reachable by one step along any axis (table built on
+        first use: only Q-learning asks)."""
+        if self._neighbors is None:
+            from ..search.spaces import grid_neighbor_table
+            self._neighbors = grid_neighbor_table(
+                [len(self.vdd_scales), len(self.vth_shifts),
+                 len(self.cox_scales)])
         return list(self._neighbors[index])
 
     def random_index(self, rng: np.random.Generator) -> int:

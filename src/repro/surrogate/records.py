@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import threading
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -82,25 +81,24 @@ class Featurizer:
             base += ["log_gates", "log_flops", "log_inputs", "log_outputs"]
         return tuple(base)
 
-    def _netlist_features(self, netlist, netlist_fp: str) -> tuple:
-        cached = self._netlist_cache.get(netlist_fp)
+    def _netlist_features(self, netlist) -> tuple:
+        fp = netlist_fingerprint(netlist)
+        cached = self._netlist_cache.get(fp)
         if cached is not None:
             return cached
         stats = netlist.stats()
         feats = tuple(float(np.log10(1.0 + stats.get(k, 0)))
                       for k in ("gates", "flops", "inputs", "outputs"))
-        self._netlist_cache[netlist_fp] = feats
+        self._netlist_cache[fp] = feats
         return feats
 
-    def features(self, netlist, corner, netlist_fp: str | None = None):
+    def features(self, netlist, corner):
         """One row's feature vector (this is the cost the store skips
         for already-harvested rows)."""
         self.calls += 1
         row = [float(v) for v in corner.feature_vector()]
         if self.include_netlist and netlist is not None:
-            fp = netlist_fp if netlist_fp is not None \
-                else netlist_fingerprint(netlist)
-            row.extend(self._netlist_features(netlist, fp))
+            row.extend(self._netlist_features(netlist))
         if self.extra is not None:
             row.extend(float(v) for v in self.extra(netlist, corner))
         return np.asarray(row, dtype=float)
@@ -257,23 +255,11 @@ class RecordHarvester:
         self.featurizer = store.featurizer
         self.harvested = 0
         self.skipped = 0
-        # Weakly keyed (like the engine's netlist fingerprints) so a
-        # long-lived harvester neither pins netlists nor aliases a
-        # recycled id() onto the wrong fingerprint.
-        self._design_fps = weakref.WeakKeyDictionary()
-
-    def _design_fp(self, netlist) -> str:
-        if netlist is None:
-            return "none"
-        fp = self._design_fps.get(netlist)
-        if fp is None:
-            fp = netlist_fingerprint(netlist)
-            self._design_fps[netlist] = fp
-        return fp
 
     def observe(self, netlist, records) -> None:
         """Harvest one batch of evaluation records (listener hook)."""
-        design = self._design_fp(netlist)
+        design = ("none" if netlist is None
+                  else netlist_fingerprint(netlist))
         for record in records:
             if getattr(record, "predicted", False):
                 continue                 # surrogate-filled, not ground truth
@@ -281,8 +267,7 @@ class RecordHarvester:
             if key in self.store:
                 self.skipped += 1
                 continue
-            features = self.featurizer.features(netlist, record.corner,
-                                                netlist_fp=design)
+            features = self.featurizer.features(netlist, record.corner)
             if self.store.add(key, design, record.corner, features,
                               targets_of(record.result)):
                 self.harvested += 1

@@ -266,6 +266,7 @@ class TestImplementationReuse:
         import threading
         from repro.eda import build_benchmark
         from repro.engine import engine as engine_mod
+        from repro.engine import netlist_fingerprint
 
         class Impl:
             def __init__(self, name):
@@ -281,7 +282,7 @@ class TestImplementationReuse:
         monkeypatch.setattr(engine_mod, "implement", implement)
         engine = EvaluationEngine(object(), EngineConfig())
         designs = [build_benchmark("s298"), build_benchmark("s386")]
-        names = {engine._netlist_fp(d): d.name for d in designs}
+        names = {netlist_fingerprint(d): d.name for d in designs}
         errors = []
 
         def worker(k):

@@ -94,6 +94,169 @@ class TestFingerprints:
                 != netlist_fingerprint(build_benchmark("s386")))
 
 
+#: Each Table I design's fingerprint, as the canonicalize-walk
+#: implementation computed it; cached results on disk are keyed by these.
+GOLDEN_NETLIST_FPS = {
+    "s298": "b989f18939dddd12", "s386": "20da9dfe72dfbdc2",
+    "s526": "fc14f2de0a8f53e0", "s820": "897cc50c7de73381",
+    "s1196": "f3437994b3cda7a2", "s1488": "4d4dbb92bf674404",
+    "mac16": "ef3e325a9a4122d8", "mac32": "7bc19b08f2788ad5",
+    "picorv32": "aba58285de927e99", "darkriscv": "64b8449c9eccbef3",
+}
+
+
+def _reference_document(netlist) -> dict:
+    """The document the fingerprint has always hashed, built
+    independently of ``hashing``."""
+    instances = [(inst.name, inst.cell, sorted(inst.pins.items()))
+                 for inst in netlist.instances.values()]
+    return {"name": netlist.name, "clock": netlist.clock,
+            "inputs": list(netlist.primary_inputs),
+            "outputs": list(netlist.primary_outputs),
+            "instances": sorted(instances)}
+
+
+def _tiny_netlist():
+    from repro.eda import GateNetlist
+    nl = GateNetlist("tiny")
+    nl.add_input("a")
+    nl.add_input("b")
+    nl.add("g1", "NAND2_X1", a="a", b="b", y="n1")
+    nl.add("g2", "INV_X1", a="n1", y="out")
+    nl.add_output("out")
+    return nl
+
+
+class TestNetlistFingerprint:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_NETLIST_FPS))
+    def test_golden_digest(self, name):
+        from repro.eda import build_benchmark
+        netlist = build_benchmark(name)
+        assert netlist_fingerprint(netlist) == GOLDEN_NETLIST_FPS[name]
+        assert netlist_fingerprint(netlist.copy()) == \
+            GOLDEN_NETLIST_FPS[name]
+
+    @pytest.mark.parametrize("name", ["s298", "mac16", "picorv32"])
+    def test_direct_encode_equals_stable_hash(self, name):
+        from repro.eda import build_benchmark
+        from repro.engine import hashing
+        netlist = build_benchmark(name)
+        expected = stable_hash(_reference_document(netlist), length=64)
+        assert hashing._netlist_digest(netlist) == expected
+        assert netlist_fingerprint(netlist, length=64) == expected
+        assert netlist_fingerprint(netlist, length=8) == expected[:8]
+
+    def test_non_str_leaf_takes_the_stable_hash_fallback(self,
+                                                         monkeypatch):
+        import hashlib
+        import json
+
+        from repro.engine import hashing
+        netlist = _tiny_netlist()
+        netlist.add("g3", "INV_X1", a=0.5, y="n3")     # a float leaf
+        doc = _reference_document(netlist)
+        calls = []
+        real = hashing.stable_hash
+
+        def counting(obj, length=16):
+            calls.append(obj)
+            return real(obj, length=length)
+
+        monkeypatch.setattr(hashing, "stable_hash", counting)
+        digest = hashing._netlist_digest(netlist)
+        assert calls == [doc]
+        assert digest == real(doc, length=64)
+        # Encoding the float directly would have given other bytes.
+        raw = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert digest != hashlib.sha256(raw.encode()).hexdigest()
+
+    def test_str_leaves_skip_canonicalize(self, monkeypatch):
+        from repro.engine import hashing
+        netlist = _tiny_netlist()
+        expected = stable_hash(_reference_document(netlist), length=64)
+        walked = []
+        real = hashing.canonicalize
+        monkeypatch.setattr(hashing, "canonicalize",
+                            lambda obj: walked.append(obj) or real(obj))
+        assert hashing._netlist_digest(netlist) == expected
+        assert walked == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda nl: nl.add("g9", "INV_X1", a="out", y="n9"),
+        lambda nl: nl.add_input("c"),
+        lambda nl: nl.add_output("n1"),
+    ], ids=["add", "add_input", "add_output"])
+    def test_edits_drop_the_memo(self, edit):
+        netlist = _tiny_netlist()
+        before = netlist_fingerprint(netlist)
+        edit(netlist)
+        after = netlist_fingerprint(netlist)
+        assert after != before
+        assert after == stable_hash(_reference_document(netlist))
+
+    def test_memo_computes_once_per_object(self, monkeypatch):
+        from repro.engine import hashing
+        netlist = _tiny_netlist()
+        calls = []
+        real = hashing._netlist_digest
+        monkeypatch.setattr(hashing, "_netlist_digest",
+                            lambda nl: calls.append(nl) or real(nl))
+        first = netlist_fingerprint(netlist)
+        assert netlist_fingerprint(netlist) == first
+        assert netlist_fingerprint(netlist, length=32)[:16] == first
+        assert len(calls) == 1
+
+    def test_thread_hammer_one_object_per_design(self, monkeypatch):
+        """8 threads build and fingerprint all ten designs at once, from
+        an empty process-wide state: every thread gets the one netlist
+        object per design, and every digest is the golden one."""
+        import sys
+        import threading
+        import weakref
+
+        from repro.eda import benchmarks
+        from repro.engine import hashing
+        monkeypatch.setattr(benchmarks, "_BUILT", {})
+        monkeypatch.setattr(hashing, "_NETLIST_DIGESTS",
+                            weakref.WeakKeyDictionary())
+        names = sorted(GOLDEN_NETLIST_FPS)
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        seen = [[] for _ in range(n_threads)]
+        errors = []
+
+        def worker(k):
+            try:
+                barrier.wait(timeout=60)
+                for i in range(len(names)):
+                    name = names[(i + k) % len(names)]
+                    netlist = benchmarks.build_benchmark(name)
+                    seen[k].append((name, netlist,
+                                    netlist_fingerprint(netlist)))
+            except Exception as exc:       # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for rows in seen:
+            assert len(rows) == len(names)
+            for name, netlist, fp in rows:
+                assert netlist is benchmarks._BUILT[name]
+                assert fp == GOLDEN_NETLIST_FPS[name]
+        assert sorted(benchmarks._BUILT) == names
+
+
 class TestEvalKey:
     def test_equality_and_hash(self):
         a = EvalKey("lib", builder="x", corner=(1.0, 0.0, 1.0))

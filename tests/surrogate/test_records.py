@@ -5,7 +5,6 @@ import pytest
 
 from repro.charlib import Corner
 from repro.eda import build_benchmark
-from repro.engine.hashing import netlist_fingerprint
 from repro.surrogate import (Featurizer, RecordHarvester, RecordStore,
                              targets_of)
 
@@ -29,9 +28,8 @@ class TestFeaturizer:
 
     def test_netlist_features_cached_per_design(self, netlist):
         f = Featurizer()
-        fp = netlist_fingerprint(netlist)
-        f.features(netlist, Corner(1.0, 0.0, 1.0), netlist_fp=fp)
-        f.features(netlist, Corner(0.9, 0.0, 1.0), netlist_fp=fp)
+        f.features(netlist, Corner(1.0, 0.0, 1.0))
+        f.features(netlist, Corner(0.9, 0.0, 1.0))
         assert f.calls == 2
         assert len(f._netlist_cache) == 1
 
