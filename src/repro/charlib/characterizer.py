@@ -12,10 +12,15 @@ transient / DC simulation:
 * **min setup / min hold / min pulse width** for sequential cells, by
   bisection on pass/fail capture transients.
 
-Every characterization plans its transients first and integrates them as
-lockstep batches (:func:`repro.spice.transient_batch`): a combinational
-cell's arcs in one batch, a sequential cell's fixed runs plus the first
-probes of all its bisections in one, then one batch per bisection round.
+Every characterization is a plan that yields its transients round by
+round and receives their results: a combinational cell's arcs in one
+round, a sequential cell's fixed runs plus the first probes of all its
+bisections in one, then one round per bisection step. A *cohort*
+(:meth:`CellCharacterizer.cohort`) is one cell at many corners whose
+plans advance together: each round integrates every member's runs as one
+lockstep batch (:func:`repro.spice.transient_batch`), and each member's
+waveforms are bit for bit what it gets alone. A lone characterizer is a
+cohort of one.
 """
 
 from __future__ import annotations
@@ -82,6 +87,22 @@ class CellCharacterizer:
         self.config = config if config is not None else CharConfig()
         self.vdd = self.tech.vdd
         self._tau = self._estimate_tau()
+        # The cohort this characterizer measures with, and the rows its
+        # run measured for members that have not asked for them yet.
+        self._peers: list = [self]
+        self._waiting: dict = {}
+
+    @classmethod
+    def cohort(cls, cell: Cell, tech: TechnologyPair, corners,
+               config: CharConfig | None = None) -> list:
+        """One characterizer of ``cell`` per corner, as one cohort: the
+        first :meth:`characterize` call measures every member, one
+        lockstep batch per round, and each call returns its own rows."""
+        members = [cls(cell, tech, corner, config) for corner in corners]
+        waiting: dict = {}
+        for member in members:
+            member._peers, member._waiting = members, waiting
+        return members
 
     # ------------------------------------------------------------------
     def _estimate_tau(self) -> float:
@@ -108,23 +129,6 @@ class CellCharacterizer:
         self.cell.instantiate(ckt, "u0", pin_map, self.tech.nmos,
                               self.tech.pmos)
         return ckt
-
-    def _run_batch(self, runs: list) -> list:
-        """Transients for ``(waveforms, load, t_stop)`` runs, integrated
-        as one lockstep batch (every run uses this cell's testbench, so
-        they share a topology)."""
-        t_stops = [t_stop for _, _, t_stop in runs]
-        return transient_batch(
-            [self._build(wf, load) for wf, load, _ in runs], t_stops,
-            [t_stop / self.config.max_steps for t_stop in t_stops])
-
-    def _run_plan(self, plan: list) -> None:
-        """Run ``(run, measure)`` pairs as one batch, then hand each
-        result to its ``measure`` in plan order."""
-        if plan:
-            runs, measures = zip(*plan)
-            for measure, res in zip(measures, self._run_batch(runs)):
-                measure(res)
 
     def _leakage_current(self, vector: dict) -> float:
         wf = {p: DC(self.vdd if vector[p] else 0.0) for p in self.cell.inputs}
@@ -163,8 +167,9 @@ class CellCharacterizer:
                 for p in self.cell.inputs}
 
     # ------------------------------------------------------------------
-    def characterize_combinational(self) -> list:
-        """All nine-metric rows for a combinational cell."""
+    def _combinational_plan(self):
+        """All nine-metric rows for a combinational cell, as a plan: one
+        round of ``(waveforms, load, t_stop)`` runs."""
         cell, cfg, vdd = self.cell, self.config, self.vdd
         rows: list[Measurement] = []
         flips, nonflips = self._sensitizing_vectors()
@@ -261,11 +266,15 @@ class CellCharacterizer:
             return (pulse(vec, pin, slew, td, pw, min(cfg.loads), t_stop),
                     measure)
 
-        self._run_plan(
-            [arc(pin, vec, out, slew, load) for pin, vec, out in flips
-             for slew in cfg.slews for load in cfg.loads]
-            + [capacitance(pin, vec) for pin, vec, _ in flips]
-            + [non_flip(pin, vec) for pin, vec in nonflips])
+        plan = ([arc(pin, vec, out, slew, load) for pin, vec, out in flips
+                 for slew in cfg.slews for load in cfg.loads]
+                + [capacitance(pin, vec) for pin, vec, _ in flips]
+                + [non_flip(pin, vec) for pin, vec in nonflips])
+        if plan:
+            runs, measures = zip(*plan)
+            results = yield list(runs)
+            for measure, res in zip(measures, results):
+                measure(res)
 
         # Leakage per input vector.
         for vec in cell.input_vectors():
@@ -354,13 +363,14 @@ class CellCharacterizer:
         return (self._capture_run(times, values, clk, t_stop),
                 self._settles(vdd))
 
-    def characterize_sequential(self) -> list:
-        """Sequential metrics: clk->q delay/slew/power + setup/hold/MPW.
+    def _sequential_plan(self):
+        """Sequential metrics: clk->q delay/slew/power + setup/hold/MPW,
+        as a plan.
 
-        Round 0 is one batch: both clk->q runs, both leakage runs, the
-        check at the top of every bisection range and every bisection's
-        first midpoint. The five bisections then advance in lockstep, one
-        batch per round."""
+        Round 0 holds both clk->q runs, both leakage runs, the check at
+        the top of every bisection range and every bisection's first
+        midpoint. The five bisections then advance in lockstep, one round
+        per step."""
         cell, cfg, vdd = self.cell, self.config, self.vdd
         rows: list[Measurement] = []
         seq, others, q = self._seq_nets()
@@ -425,22 +435,26 @@ class CellCharacterizer:
                 return self._pulse_trial(args[0], t_clk, slew, t_stop)
             return self._capture_trial(*args, t_clk, slew, t_stop)
 
+        search = bisect_lockstep([bounds for bounds, _ in searches],
+                                 cfg.n_bisect)
         fixed_results: list = []
-
-        def evaluate(probes):
+        passed = None
+        while True:
+            try:
+                probes = search.send(passed)
+            except StopIteration as stop:
+                found = stop.value
+                break
             keys = [searches[i][1](x) for i, x in probes]
             unique = list(dict.fromkeys(keys))
             trials = [trial(k) for k in unique]
             # The fixed runs ride along with the first round.
             extra = [] if fixed_results else fixed
-            results = self._run_batch(extra + [run for run, _ in trials])
+            results = yield extra + [run for run, _ in trials]
             fixed_results.extend(results[:len(extra)])
-            passed = {k: check(res) for k, (_, check), res
-                      in zip(unique, trials, results[len(extra):])}
-            return [passed[k] for k in keys]
-
-        found = bisect_lockstep([bounds for bounds, _ in searches],
-                                cfg.n_bisect, evaluate)
+            ok = {k: check(res) for k, (_, check), res
+                  in zip(unique, trials, results[len(extra):])}
+            passed = [ok[k] for k in keys]
 
         for capture_one, res in zip((True, False), fixed_results[:2]):
             t = res.t
@@ -495,14 +509,58 @@ class CellCharacterizer:
         return rows
 
     # ------------------------------------------------------------------
-    def characterize(self) -> list:
-        """All measurements for this cell/corner."""
+    def _plan(self):
         if self.cell.is_sequential:
-            return self.characterize_sequential()
-        return self.characterize_combinational()
+            return self._sequential_plan()
+        return self._combinational_plan()
+
+    def characterize(self) -> list:
+        """All measurements for this cell/corner.
+
+        The first call of a cohort member measures every member of its
+        cohort that has no rows waiting; each call returns (and hands
+        over) its own member's rows."""
+        waiting = self._waiting
+        if self not in waiting:
+            members = [m for m in self._peers if m not in waiting]
+            waiting.update(zip(members, _measure_together(members)))
+        return waiting.pop(self)
 
 
-def bisect_lockstep(bounds: list, n_bisect: int, evaluate) -> list:
+def _measure_together(members: list) -> list:
+    """Each member's rows. The members' plans advance in lockstep: every
+    round integrates all their runs as one :func:`transient_batch` (one
+    cell's testbenches share a topology), and a member whose plan is done
+    sits out the rest."""
+    plans = [m._plan() for m in members]
+    rows: list = [None] * len(members)
+    sent: list = [None] * len(members)
+    while True:
+        rounds = []
+        for j, plan in enumerate(plans):
+            if rows[j] is not None:
+                continue
+            try:
+                rounds.append((j, plan.send(sent[j])))
+            except StopIteration as stop:
+                rows[j] = stop.value
+        if not rounds:
+            return rows
+        circuits, t_stops, dts = [], [], []
+        for j, runs in rounds:
+            member = members[j]
+            for waveforms, load, t_stop in runs:
+                circuits.append(member._build(waveforms, load))
+                t_stops.append(t_stop)
+                dts.append(t_stop / member.config.max_steps)
+        results = transient_batch(circuits, t_stops, dts)
+        at = 0
+        for j, runs in rounds:
+            sent[j] = results[at:at + len(runs)]
+            at += len(runs)
+
+
+def bisect_lockstep(bounds: list, n_bisect: int):
     """Smallest passing x in each ``(lo, hi)`` of ``bounds``, with every
     search advanced in lockstep.
 
@@ -510,10 +568,11 @@ def bisect_lockstep(bounds: list, n_bisect: int, evaluate) -> list:
     ``hi`` (a search that fails it yields nan), then halve the range
     ``n_bisect`` times, keeping ``hi`` on the passing side. For any
     predicate, monotone or not, a search probes exactly the points and
-    returns exactly the value it would alone. ``evaluate(probes)`` takes
-    one round's ``(search index, x)`` probes and returns the predicate at
-    each; the checks at ``hi`` ride in the first round with the first
-    midpoints, and a search that fails its check leaves after that round.
+    returns exactly the value it would alone. This is a generator: it
+    yields one round's ``(search index, x)`` probes, is sent the
+    predicate at each, and returns the found values; the checks at ``hi``
+    ride in the first round with the first midpoints, and a search that
+    fails its check leaves after that round.
     """
     lo = [a for a, _ in bounds]
     hi = [b for _, b in bounds]
@@ -525,7 +584,7 @@ def bisect_lockstep(bounds: list, n_bisect: int, evaluate) -> list:
         checks = [(i, hi[i]) for i in live] if r == 0 else []
         if not probes and not checks:
             break
-        passed = evaluate(probes + checks)
+        passed = yield probes + checks
         for (i, mid), ok in zip(probes, passed):
             if ok:
                 hi[i] = mid

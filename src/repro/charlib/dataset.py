@@ -1,10 +1,10 @@
 """Characterization dataset: SPICE measurements -> per-metric graph data.
 
-Runs the characterizer over (cells x corners), encodes every measurement
-as a Table III graph, and maintains per-metric log-domain normalisation so
-the GNN regresses O(1) targets while MAPE is evaluated in the physical
-domain. Results are cached on disk (the paper's 696k-point datasets are
-expensive to regenerate).
+Runs the characterizer over (cells x corners), one SPICE cohort per cell,
+encodes every measurement as a Table III graph, and maintains per-metric
+log-domain normalisation so the GNN regresses O(1) targets while MAPE is
+evaluated in the physical domain. Results are cached on disk (the
+paper's 696k-point datasets are expensive to regenerate).
 """
 
 from __future__ import annotations
@@ -78,12 +78,21 @@ class CharDataset:
                 for m, by_split in self.graphs.items()}
 
 
-def _measure(cells, tech: TechnologyPair, corners, config: CharConfig):
-    rows = []
-    for corner in corners:
-        for name in cells:
-            char = CellCharacterizer(get_cell(name), tech, corner, config)
-            rows.extend(char.characterize())
+def _measure(cells, tech: TechnologyPair, splits: dict,
+             config: CharConfig) -> dict:
+    """Rows per split, in (corner, cell) order within each split. Each
+    cell is one SPICE cohort over every split's corners, so the whole
+    cell integrates as one lockstep batch per round."""
+    corners = [corner for split in splits.values() for corner in split]
+    cohorts = {name: CellCharacterizer.cohort(get_cell(name), tech, corners,
+                                              config)
+               for name in cells}
+    rows, at = {}, 0
+    for split, split_corners in splits.items():
+        rows[split] = [m for i in range(at, at + len(split_corners))
+                       for name in cells
+                       for m in cohorts[name][i].characterize()]
+        at += len(split_corners)
     return rows
 
 
@@ -142,10 +151,8 @@ def build_char_dataset(technology: str = "ltps",
     if cached is not None:
         rows_by_split = cached
     else:
-        rows_by_split = {
-            "train": _measure(cells, tech, train_corners, config),
-            "test": _measure(cells, tech, test_corners, config),
-        }
+        rows_by_split = _measure(cells, tech, {"train": train_corners,
+                                               "test": test_corners}, config)
         if cache_path is not None:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             with open(cache_path, "wb") as fh:

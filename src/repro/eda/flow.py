@@ -83,12 +83,12 @@ class Implementation:
 
 
 def implement(netlist: GateNetlist) -> Implementation:
-    """Synthesize a copy of ``netlist`` (the input is not mutated), then
-    place, route, build its timing graph and run DRC/LVS."""
+    """Synthesize ``netlist`` (synthesis edits a copy; the input is not
+    mutated), then place, route, build its timing graph and run DRC/LVS."""
     runtimes = {}
 
     t0 = time.perf_counter()
-    syn = synthesize(netlist.copy())
+    syn = synthesize(netlist)
     runtimes["synthesis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -60,7 +60,9 @@ def _bfs_order(netlist: GateNetlist) -> list:
 
 def place(netlist: GateNetlist, target_utilization: float = 0.7,
           refine_passes: int = 2) -> PlacementResult:
-    """Assign (x, y) to every instance."""
+    """Assign (x, y) to every instance, in place. Placement writes only
+    the instances' ``x``/``y``, which :func:`~repro.engine.hashing.
+    netlist_fingerprint` excludes, so a placed netlist keeps its digest."""
     order = _bfs_order(netlist)
     widths = {n: get_cell(netlist.instances[n].cell).area * _UNIT_UM
               for n in order}

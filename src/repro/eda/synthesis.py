@@ -33,12 +33,15 @@ class SynthesisResult:
 
 def synthesize(netlist: GateNetlist, max_fanout: int = 8,
                upsize_fanout: int = 4) -> SynthesisResult:
-    """Fanout legalisation + drive selection.
+    """Fanout legalisation + drive selection, on a copy of ``netlist``
+    (the input is not mutated: :func:`~repro.eda.build_benchmark` hands
+    every caller one shared netlist).
 
     Nets with more than ``max_fanout`` sinks get a BUF_X2 tree; drivers of
     more than ``upsize_fanout`` sinks are swapped to the next drive
-    variant when one exists.
+    variant when one exists. The result's ``netlist`` is the copy.
     """
+    netlist = netlist.copy()
     loads = netlist.loads()
     drivers = netlist.drivers()
     buffers = 0

@@ -21,6 +21,7 @@ Unknown vector layout: ``x = [node voltages..., vsource branch currents...]``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = ["CircuitBatch", "CompiledCircuit", "NewtonResult"]
 
 _H = 1e-30      # complex-step size
 _GMIN = 1e-12   # conductance from every node to ground
+_LIVE_CACHE = 16   # live-set entries a CircuitBatch keeps per cache
 
 
 class _BatchedTFTs:
@@ -80,6 +82,16 @@ class _BatchedTFTs:
                         np.stack([getattr(p, name) for p in parts]))
         return out
 
+    def take(self, idx: np.ndarray) -> "_BatchedTFTs":
+        """The batch members ``idx`` (rows of every ``(B, n)`` parameter):
+        the same values as stacking those members' own devices."""
+        out = _BatchedTFTs([])
+        out.n = self.n
+        if self.n:
+            for name in self._ARRAYS:
+                setattr(out, name, getattr(self, name)[idx])
+        return out
+
     def member_key(self, j: int) -> bytes:
         """Device parameters of batch member ``j``, as bytes."""
         if not self.n:
@@ -89,8 +101,10 @@ class _BatchedTFTs:
 
     def _softplus(self, x, scale):
         z = x / scale
-        re = np.real(z)
-        big = re > 30.0
+        big = np.real(z) > 30.0
+        if not big.any():
+            # The branch np.where would select everywhere, alone.
+            return scale * np.log1p(np.exp(z))
         small_val = np.log1p(np.exp(np.where(big, 0.0, z)))
         big_val = z + np.log1p(np.exp(np.where(big, -z, 0.0)))
         return scale * np.where(big, big_val, small_val)
@@ -436,8 +450,10 @@ class CircuitBatch:
                 B, n, [_pair_stamps(a, b) for a, b in pairs], True)
             self._b_scatter = _Scatter(
                 B, n, [[(a, None), (b, None)] for a, b in pairs], False)
-        self._parts: dict = {}     # live member set -> TFT evaluation
-        self._tft_scatters: dict = {}   # member count -> (f, J) scatters
+        # The most recent live member sets' TFT evaluations and member
+        # counts' (f, J) scatters, each bounded to _LIVE_CACHE entries.
+        self._parts: OrderedDict = OrderedDict()
+        self._tft_scatters: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
     def member_key(self, j: int) -> bytes:
@@ -485,21 +501,20 @@ class CircuitBatch:
         """Device parameters plus the f and J scatters (TFT currents into
         f, drain + and source -; the six Jacobian entries, rows d/s x
         cols d/g/s) for the members ``idx``."""
-        key = idx.tobytes()
-        part = self._parts.get(key)
-        if part is None:
-            k = len(idx)
-            if k not in self._tft_scatters:
-                first, n = self.members[0], self.size
-                t_d, t_g, t_s = first._t_d, first._t_g, first._t_s
-                self._tft_scatters[k] = (
-                    _Scatter(k, n, [[(t_d, None), (t_s, None)]], False),
+        k = len(idx)
+
+        def scatters():
+            first, n = self.members[0], self.size
+            t_d, t_g, t_s = first._t_d, first._t_g, first._t_s
+            return (_Scatter(k, n, [[(t_d, None), (t_s, None)]], False),
                     _Scatter(k, n, [[(r, c) for r in (t_d, t_s)
                                      for c in (t_d, t_g, t_s)]], True))
-            tfts = (self.tfts if k == self.B else _BatchedTFTs.stack(
-                [self.members[i].batched for i in idx]))
-            part = self._parts[key] = (tfts, *self._tft_scatters[k])
-        return part
+
+        def part():
+            tfts = self.tfts if k == self.B else self.tfts.take(idx)
+            return (tfts, *_cached(self._tft_scatters, k, scatters))
+
+        return _cached(self._parts, idx.tobytes(), part)
 
     def tft_contributions(self, X: np.ndarray, idx: np.ndarray):
         """Batched (f_tft, J_tft) of the members ``idx`` at their states
@@ -560,6 +575,19 @@ class CircuitBatch:
             live[idx[stop]] = False
         converged |= res < 1e-6
         return X, converged, iterations, res
+
+
+def _cached(cache: OrderedDict, key, make):
+    """``cache[key]``, made on a miss; the cache keeps its
+    ``_LIVE_CACHE`` most recently used entries."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+        if len(cache) > _LIVE_CACHE:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
 
 
 def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ level. The space is discretised so tabular RL applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,12 +29,9 @@ class DesignSpace:
     cox_scales: tuple = (0.8, 1.0, 1.2)
 
     def __post_init__(self):
-        self._points = [Corner(v, t, c) for v, t, c in product(
-            self.vdd_scales, self.vth_shifts, self.cox_scales)]
-        # An index map, not float equality against Corner fields: that
-        # made every index_of call an O(n) linear scan, and the agents
-        # call it every iteration. Neighbor lists are built on first use.
-        self._index = {p.key(): i for i, p in enumerate(self._points)}
+        axes = (tuple(self.vdd_scales), tuple(self.vth_shifts),
+                tuple(self.cox_scales))
+        self._points, self._index = _grid(axes, repr(axes))
         self._neighbors = None
 
     @property
@@ -64,6 +63,22 @@ class DesignSpace:
 
     def random_index(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.size))
+
+
+@lru_cache(maxsize=32)
+def _grid(axes: tuple, spelling: str) -> tuple:
+    """A grid's points and its corner-key -> index map, built once per
+    process and shared read-only by every space over the same axes
+    (``Corner`` is frozen). ``spelling``, the axes' repr, keeps axes that
+    compare equal but render differently (``0.0``/``-0.0``, ``1``/``1.0``)
+    apart.
+
+    The index map, not float equality against Corner fields: that made
+    every ``index_of`` an O(n) linear scan, and the optimizers call it
+    every iteration. Neighbor lists are built per space on first use."""
+    points = tuple(Corner(v, t, c) for v, t, c in product(*axes))
+    return points, MappingProxyType({p.key(): i
+                                     for i, p in enumerate(points)})
 
 
 def default_space() -> DesignSpace:

@@ -9,6 +9,7 @@ from repro.eda import (PAPER_SYSTEM_EVAL_S, PAPER_TABLE1, PaperCosts,
                        benchmark_names, build_benchmark, evaluate_system,
                        place, route, run_drc, run_lvs, synthesize,
                        table1_row, table1_rows)
+from repro.engine.hashing import _netlist_digest, netlist_fingerprint
 
 FAST_CFG = CharConfig(slews=(8e-9,), loads=(15e-15,), n_bisect=3,
                       max_steps=200)
@@ -127,6 +128,28 @@ class TestFlowStages:
             if net == nl.clock:
                 continue   # clock distribution is a separate tree
             assert len(sinks) <= 4, net
+
+    @pytest.mark.parametrize("name", ["s298", "mac16"])
+    def test_synthesis_leaves_the_shared_netlist_alone(self, name):
+        shared = build_benchmark(name)
+        digest = netlist_fingerprint(shared)
+        before = {n: (i.cell, dict(i.pins))
+                  for n, i in shared.instances.items()}
+        res = synthesize(shared, max_fanout=4)
+        assert res.netlist is not shared
+        assert res.buffers_added + res.cells_upsized > 0
+        assert build_benchmark(name) is shared
+        assert {n: (i.cell, i.pins)
+                for n, i in shared.instances.items()} == before
+        # The memo is still the digest the netlist has.
+        assert netlist_fingerprint(shared) == digest \
+            == _netlist_digest(shared)[:16]
+
+    def test_placement_keeps_the_fingerprint(self, s298):
+        nl = s298.copy()
+        digest = _netlist_digest(nl)
+        place(nl)
+        assert _netlist_digest(nl) == digest
 
     def test_placement_assigns_positions(self, s298):
         nl = s298.copy()

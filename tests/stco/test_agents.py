@@ -110,6 +110,24 @@ class TestSpaceFastPaths:
         with pytest.raises(ValueError, match="not a point"):
             default_space().index_of(Corner(0.123, 0.456, 0.789))
 
+    def test_grid_built_once_per_process(self):
+        axes = dict(vdd_scales=(0.85, 1.0, 1.15), vth_shifts=(-0.05, 0.0),
+                    cox_scales=(0.9, 1.1))
+        a, b = DesignSpace(**axes), DesignSpace(**axes)
+        assert a._points is b._points and a._index is b._index
+        # Lists spell the same axes: the same grid.
+        listed = DesignSpace(**{k: list(v) for k, v in axes.items()})
+        assert listed._points is a._points
+        # points() is the caller's own list.
+        pts = a.points()
+        pts.clear()
+        assert b.size == 12 and len(b.points()) == 12
+        # Axes that compare equal but render differently stay apart.
+        neg = DesignSpace(**{**axes, "vth_shifts": (-0.05, -0.0)})
+        assert neg._points is not a._points
+        assert str(neg.point(2).vth_shift) == "-0.0"
+        assert str(a.point(2).vth_shift) == "0.0"
+
     def test_large_space_indexes_fast(self):
         import time
         big = DesignSpace(vdd_scales=tuple(0.5 + 0.01 * i
