@@ -72,20 +72,20 @@ def _flatten_counters(stats: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _build_library_task(payload):
+def _build_library_task(builder, corner):
     """Worker task: characterize one corner (library only, no flow)."""
-    builder, corner = payload
     library = builder.build(corner)
     return library, getattr(builder, "last_runtime_s", 0.0)
 
 
-def _evaluate_corner_task(payload):
+def _evaluate_corner_task(builder, payload):
     """Worker task: (build library if needed) + sign-off + score.
 
-    Module-level so it pickles into pool workers; returns the library so
+    Module-level so it pickles into pool workers; ``builder`` is the
+    backend's context, not part of the payload. Returns the library so
     the parent process can populate its caches.
     """
-    builder, library, netlist, implementation, corner, weights = payload
+    library, netlist, implementation, corner, weights = payload
     lib_rt = 0.0
     if library is None:
         library = builder.build(corner)
@@ -271,8 +271,8 @@ class EvaluationEngine:
         self._m_characterizations.inc(len(corners))
         if isinstance(self.backend, ProcessPoolBackend) and len(corners) > 1:
             results = self.backend.map(
-                _build_library_task,
-                [(self.builder, corner) for corner in corners])
+                _build_library_task, corners, context=self.builder,
+                context_key=self.builder_fingerprint())
             return [lib for lib, _ in results], [t for _, t in results]
         libs, times = [], []
         for corner in corners:
@@ -336,7 +336,7 @@ class EvaluationEngine:
             # Serial: characterize first, then flow each — the call
             # structure of the historical loop.
             libs, lib_times = self._libraries_with_times(miss_corners)
-            payloads = [(None, lib, netlist, im, corner, weights)
+            payloads = [(lib, netlist, im, corner, weights)
                         for lib, im, corner in zip(libs, impls,
                                                    miss_corners)]
             results = self._execute("system_flow", payloads)
@@ -347,28 +347,24 @@ class EvaluationEngine:
         else:
             # Fan the full (characterize + flow) evaluations out across
             # processes; corners whose library is already cached ship the
-            # library instead of the builder so workers skip
-            # characterization. Payload pickling is bounded: Pool.map
-            # serializes each *chunk* of tasks as one object, so the
-            # shared builder reference is pickled once per chunk (about
-            # 4 x workers times per sweep), not once per corner.
+            # library so workers skip characterization. No payload
+            # carries the builder: it is the backend's context, which
+            # reaches each worker once per pool (inherited under fork,
+            # unpickled once per worker under spawn), and a pool started
+            # for another builder fingerprint is restarted first.
             payloads = []
             for corner, im in zip(miss_corners, impls):
                 lib = self.library_cache.get(self.library_key(corner))
-                if lib is not None:
-                    payloads.append((None, lib, netlist, im, corner,
-                                     weights))
-                else:
+                if lib is None:
                     with self._counter_lock:
                         self.characterizations += 1
                     self._m_characterizations.inc()
-                    payloads.append((self.builder, None, netlist, im,
-                                     corner, weights))
+                payloads.append((lib, netlist, im, corner, weights))
             results = self._execute("parallel_evaluate", payloads)
             records = []
             for (lib, record), payload, corner in zip(results, payloads,
                                                       miss_corners):
-                if payload[1] is None:   # freshly characterized only —
+                if payload[0] is None:   # freshly characterized only —
                     # re-putting cache hits would re-pickle every library
                     # to disk on each warm sweep.
                     self.library_cache.put(self.library_key(corner), lib)
@@ -391,7 +387,9 @@ class EvaluationEngine:
         t0 = time.perf_counter()
         with span("engine.executor", stage=stage,
                   backend=self.backend.name, tasks=len(payloads)):
-            results = self.backend.map(_evaluate_corner_task, payloads)
+            results = self.backend.map(
+                _evaluate_corner_task, payloads, context=self.builder,
+                context_key=self.builder_fingerprint())
         self._tally(stage, t0)
         return results
 

@@ -4,10 +4,19 @@ A backend maps a picklable task function over a list of payloads and
 returns results in **input order**, whatever the completion order — the
 property the engine relies on for reproducible campaign trajectories.
 
-* :class:`SerialBackend` — in-process loop, zero overhead, the default.
+A map may carry one ``context`` object that every task reads (the
+engine's library builder); each task is then called as
+``fn(context, payload)``. The context is not part of any payload:
+
+* :class:`SerialBackend` — in-process loop, zero overhead, the default;
+  the context is passed by reference.
 * :class:`ProcessPoolBackend` — ``multiprocessing`` pool; wins for the
-  CPU-bound SPICE/flow work on multi-core machines (workers get their
-  own copy of the builder, so no shared mutable state).
+  CPU-bound SPICE/flow work on multi-core machines. The context reaches
+  each worker once per pool, as the pool initializer's argument: a
+  ``fork`` worker inherits it without pickling, a ``spawn`` worker
+  unpickles it once. A map with a different context key restarts the
+  pool, so each worker holds its own copy of exactly one context and
+  there is no shared mutable state.
 
 Backends are addressable by spec string (``"serial"``, ``"process"``,
 ``"process:4"``) so campaign configs stay JSON-able;
@@ -18,9 +27,30 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+from functools import partial
 
 __all__ = ["SerialBackend", "ProcessPoolBackend", "get_backend",
            "parse_backend", "available_workers"]
+
+
+#: Start method for pool workers (``fork`` wherever the OS has it).
+_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
+
+#: The running pool's context inside a worker process (see
+#: :func:`_install_context`); never set in the parent.
+_WORKER_CONTEXT = None
+
+
+def _install_context(context) -> None:
+    """Pool initializer: keep the pool's context for this worker's tasks."""
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
+
+
+def _call_with_context(fn, payload):
+    """Worker-side trampoline: ``fn(<this worker's context>, payload)``."""
+    return fn(_WORKER_CONTEXT, payload)
 
 
 def available_workers() -> int:
@@ -37,8 +67,10 @@ class SerialBackend:
     name = "serial"
     workers = 1
 
-    def map(self, fn, payloads) -> list:
-        return [fn(p) for p in payloads]
+    def map(self, fn, payloads, context=None, context_key=None) -> list:
+        if context is None:
+            return [fn(p) for p in payloads]
+        return [fn(context, p) for p in payloads]
 
     def shutdown(self) -> None:
         pass
@@ -54,6 +86,13 @@ class ProcessPoolBackend:
     which worker finished first, giving deterministic result ordering.
     The pool is created lazily (first ``map``) and kept warm across
     calls so repeated sweeps don't pay fork+import each time.
+
+    The pool is started with one context (see the module docstring) and
+    serves every map whose ``context_key`` matches it; the key defaults
+    to the context's identity. A map with another key closes the pool
+    and starts a new one, so one instance can be shared by engines with
+    different builders. Maps are serialized by a lock: a restart never
+    pulls the pool out from under another thread's map.
     """
 
     name = "process"
@@ -61,25 +100,46 @@ class ProcessPoolBackend:
     def __init__(self, workers: int | None = None):
         self.workers = workers if workers else available_workers()
         self._pool = None
+        self._context = None        # the running pool's context ...
+        self._context_key = None    # ... and the key it was started for
+        self._lock = threading.Lock()
 
-    def _ensure(self):
+    def _ensure(self, context, context_key):
+        if self._pool is not None and context_key != self._context_key:
+            self._close()
         if self._pool is None:
-            self._pool = multiprocessing.get_context("fork" if hasattr(
-                os, "fork") else "spawn").Pool(self.workers)
+            self._pool = multiprocessing.get_context(_START_METHOD).Pool(
+                self.workers, initializer=_install_context,
+                initargs=(context,))
+            self._context, self._context_key = context, context_key
         return self._pool
 
-    def map(self, fn, payloads) -> list:
+    def map(self, fn, payloads, context=None, context_key=None) -> list:
         payloads = list(payloads)
+        if context is not None:
+            # The context stays referenced while its pool runs, so an
+            # identity key cannot be reused by another object meanwhile.
+            if context_key is None:
+                context_key = ("id", id(context))
+            inline, fn = partial(fn, context), partial(_call_with_context, fn)
+        else:
+            inline = fn
         if len(payloads) <= 1 or self.workers <= 1:
-            return [fn(p) for p in payloads]
+            return [inline(p) for p in payloads]
         chunk = max(1, len(payloads) // (self.workers * 4))
-        return self._ensure().map(fn, payloads, chunksize=chunk)
+        with self._lock:
+            return self._ensure(context, context_key).map(
+                fn, payloads, chunksize=chunk)
+
+    def _close(self) -> None:
+        self._pool.close()
+        self._pool.join()
+        self._pool = self._context = self._context_key = None
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        with self._lock:
+            if self._pool is not None:
+                self._close()
 
     def __del__(self):
         try:
